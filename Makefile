@@ -4,7 +4,7 @@
 # installed — a formatting check. The format step is skipped, loudly, when
 # the tool is absent so the gate still runs on minimal toolchains.
 
-.PHONY: all build test check fmt lint serve-smoke bench-cache bench-analysis bench-server bench-parallel bench-topk bench-rank bench-refine bench-proto bench-scale bench-reload clean
+.PHONY: all build test check fmt lint serve-smoke bench-cache bench-analysis bench-server bench-parallel bench-topk bench-rank bench-refine bench-proto bench-scale bench-reload perfbench clean
 
 all: build
 
@@ -129,6 +129,13 @@ bench-scale: build
 # incremental patch time grows superlinearly across the sizes.
 bench-reload: build
 	dune exec bench/main.exe -- --section reload
+
+# Per-layer breakdown of the two workloads BENCHMARK.json gates (table1-hot,
+# batch-100k): perfbench's traced in-process replay at seed 1, so a fix
+# goes where the breakdown points. Takes a few minutes; not part of `check`.
+perfbench: build
+	python3 perfbench/run.py --workload table1-hot --seed 1 --seconds 40 --trace 1
+	python3 perfbench/run.py --workload batch-100k --seed 1 --seconds 40 --trace 1
 
 clean:
 	dune clean

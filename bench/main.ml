@@ -414,7 +414,7 @@ let section_cap_sweep () =
   rule "Ablation — per-cast extraction cap on a branchy corpus";
   let h, corpus = Corpusgen.Workload.branchy_corpus ~branches:64 in
   let prog = Minijava.Resolve.parse_program ~api:h corpus in
-  let df = Mining.Dataflow.build prog in
+  let df = Analysis.Dataflow.build prog in
   List.iter
     (fun cap ->
       let t, examples =
@@ -901,7 +901,7 @@ let section_parallel () =
   let prog =
     Minijava.Resolve.parse_program ~api:hierarchy Apidata.Api.corpus_sources
   in
-  let df = Mining.Dataflow.build prog in
+  let df = Analysis.Dataflow.build prog in
   let mine_at jobs =
     time_of (fun () ->
         let last = ref [] in
@@ -1382,7 +1382,7 @@ let section_proto () =
     (Analysis.Protocol.sequence_count model)
     (Analysis.Protocol.transition_count model);
   (* -- lint throughput ---------------------------------------------- *)
-  let df = Mining.Dataflow.build prog in
+  let df = Analysis.Dataflow.build prog in
   let seqs = Mining.Protomine.sequences df in
   let lint_passes = 100 in
   let lint_t, findings =
@@ -1511,7 +1511,7 @@ let section_micro () =
   let hierarchy = Apidata.Api.hierarchy () in
   let graph = Apidata.Api.default_graph () in
   let prog = Apidata.Api.program () in
-  let df = Mining.Dataflow.build prog in
+  let df = Analysis.Dataflow.build prog in
   let examples = Mining.Extract.extract df in
   let parse_q =
     Query.query "org.eclipse.core.resources.IFile" "org.eclipse.jdt.core.dom.ASTNode"

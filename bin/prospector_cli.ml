@@ -85,6 +85,13 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Wall-clock phases of a cold build, for the breakdown line. *)
+type build_times = {
+  japi_s : float;
+  sig_s : float;
+  mining_s : float option;  (* None when mining did not run *)
+}
+
 type env = {
   hierarchy : Javamodel.Hierarchy.t;
   graph : Prospector.Graph.t;
@@ -92,18 +99,35 @@ type env = {
       (* mined usage model, present whenever corpus mining ran *)
   proto : Analysis.Protocol.model option;
       (* mined typestate model, present whenever corpus mining ran *)
+  times : build_times;
 }
+
+(* "graph: built in X s (japi A s, signature graph B s, freeze C s)", with
+   the mining phase listed too when it ran; X is the sum of the parts. *)
+let built_line t ~freeze_s =
+  let mining = Option.value t.mining_s ~default:0. in
+  Printf.sprintf "graph: built in %.3f s (japi %.3f s, signature graph %.3f s%s, freeze %.3f s)"
+    (t.japi_s +. t.sig_s +. mining +. freeze_s)
+    t.japi_s t.sig_s
+    (match t.mining_s with Some m -> Printf.sprintf ", mining %.3f s" m | None -> "")
+    freeze_s
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let x = f () in
+  (x, Unix.gettimeofday () -. t0)
 
 let load_env ?pool ~api ~corpus ~mining ~protected_ () =
   let config =
     { Prospector.Sig_graph.default_config with include_protected = protected_ }
   in
-  let hierarchy =
-    match api with
-    | [] -> Apidata.Api.hierarchy ()
-    | files -> Japi.Loader.load_files (List.map (fun f -> (f, read_file f)) files)
+  let hierarchy, japi_s =
+    timed (fun () ->
+        match api with
+        | [] -> Apidata.Api.hierarchy ()
+        | files -> Japi.Loader.load_files (List.map (fun f -> (f, read_file f)) files))
   in
-  let graph = Prospector.Sig_graph.build ~config hierarchy in
+  let graph, sig_s = timed (fun () -> Prospector.Sig_graph.build ~config hierarchy) in
   let corpus_sources =
     match (api, corpus) with
     | [], [] -> Apidata.Api.corpus_sources
@@ -111,15 +135,26 @@ let load_env ?pool ~api ~corpus ~mining ~protected_ () =
   in
   let usage = ref None in
   let proto = ref None in
-  if mining && corpus_sources <> [] then begin
-    let prog = Minijava.Resolve.parse_program ~api:hierarchy corpus_sources in
-    ignore
-      (Mining.Enrich.enrich ~include_protected:protected_ ?pool
-         ~on_examples:(fun exs -> usage := Some (Mining.Usage.of_examples exs))
-         graph prog);
-    proto := Some (Mining.Protomine.mine prog)
-  end;
-  { hierarchy; graph; usage = !usage; proto = !proto }
+  let mining_s =
+    if mining && corpus_sources <> [] then
+      Some
+        (snd
+           (timed (fun () ->
+                let prog = Minijava.Resolve.parse_program ~api:hierarchy corpus_sources in
+                ignore
+                  (Mining.Enrich.enrich ~include_protected:protected_ ?pool
+                     ~on_examples:(fun exs -> usage := Some (Mining.Usage.of_examples exs))
+                     graph prog);
+                proto := Some (Mining.Protomine.mine prog))))
+    else None
+  in
+  {
+    hierarchy;
+    graph;
+    usage = !usage;
+    proto = !proto;
+    times = { japi_s; sig_s; mining_s };
+  }
 
 let strategy_arg =
   Arg.(
@@ -591,10 +626,12 @@ let batch_cmd =
         in
         let edge_cost = edge_cost_of env in
         let protocol_check = protocol_check_of env in
-        let engine =
-          Prospector.Query.engine ~cache_capacity ~pool ?edge_cost
-            ?protocol_check ~graph:env.graph ~hierarchy:env.hierarchy ()
+        let engine, freeze_s =
+          timed (fun () ->
+              Prospector.Query.engine ~cache_capacity ~pool ?edge_cost
+                ?protocol_check ~graph:env.graph ~hierarchy:env.hierarchy ())
         in
+        Logs.info (fun m -> m "%s" (built_line env.times ~freeze_s));
         let run_pass () =
           if no_cache then
             (* Cold queries are independent, so the fan-out is a plain map
@@ -651,13 +688,13 @@ let mine_cmd =
           | _, files -> List.map (fun f -> (f, read_file f)) files
         in
         let prog = Minijava.Resolve.parse_program ~api:hierarchy corpus_sources in
-        let df = Mining.Dataflow.build prog in
+        let df = Analysis.Dataflow.build prog in
         let examples = Mining.Extract.extract ~pool df in
         let generalized = Mining.Generalize.run examples in
         Printf.printf "corpus methods:          %d\n"
           (List.length prog.Minijava.Tast.methods);
         Printf.printf "casts in corpus:         %d\n"
-          (List.length (Mining.Dataflow.casts df));
+          (List.length (Analysis.Dataflow.casts df));
         Printf.printf "examples extracted:      %d\n" (List.length examples);
         Printf.printf "after generalization:    %d\n\n" (List.length generalized);
         List.iter
@@ -905,7 +942,7 @@ let lint_cmd =
                     | _ -> Mining.Protomine.mine prog
                   in
                   Analysis.Protolint.check model
-                    (Mining.Protomine.sequences (Mining.Dataflow.build prog)))
+                    (Mining.Protomine.sequences (Analysis.Dataflow.build prog)))
           | `Query ->
               List.concat_map
                 (fun spec ->
@@ -974,6 +1011,10 @@ type serve_env = {
   sv_corpus : (string * string) list;
       (* the mined corpus sources, kept so live reload can re-enrich a
          rebuilt graph and re-mine the protocol model; [] when not mining *)
+  sv_built : build_times option;
+      (* a cold build's phases, reported once the engine has frozen it *)
+  sv_saved : string option;
+      (* a cold build's --save-graph report, printed after its phases *)
 }
 
 let corpus_sources_for ~api ~corpus =
@@ -1015,14 +1056,10 @@ let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
       end
   in
   let cold_build () =
-    let t0 = Unix.gettimeofday () in
     let env = load_env ?pool ~api ~corpus ~mining ~protected_ () in
-    let build_dt = Unix.gettimeofday () -. t0 in
-    let reach =
+    let reach, saved =
       match save_graph with
-      | None ->
-          Printf.eprintf "graph: built in %.3f s\n%!" build_dt;
-          None
+      | None -> (None, None)
       | Some path ->
           let t1 = Unix.gettimeofday () in
           let r = Prospector.Reach.build env.graph in
@@ -1032,12 +1069,13 @@ let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
           let fz = Prospector.Graph.freeze env.graph in
           let gsize = Prospector.Serialize.save_frozen fz path in
           let rsize = Prospector.Serialize.save_reach r (reach_path path) in
-          Printf.eprintf
-            "graph: built in %.3f s; saved %d+%d bytes to %s (+.reach) in %.3f s — \
-             next start loads instead\n%!"
-            build_dt gsize rsize path
-            (Unix.gettimeofday () -. t1);
-          Some r
+          ( Some r,
+            Some
+              (Printf.sprintf
+                 "graph: saved %d+%d bytes to %s (+.reach) in %.3f s — next start \
+                  loads instead"
+                 gsize rsize path
+                 (Unix.gettimeofday () -. t1)) )
     in
     ( {
         sv_hierarchy = env.hierarchy;
@@ -1045,6 +1083,8 @@ let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
         sv_usage = env.usage;
         sv_proto = env.proto;
         sv_corpus = (if mining then corpus_sources_for ~api ~corpus else []);
+        sv_built = Some env.times;
+        sv_saved = saved;
       },
       reach )
   in
@@ -1101,6 +1141,8 @@ let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
               sv_usage = usage;
               sv_proto = proto;
               sv_corpus = (if mining then corpus_sources_for ~api ~corpus else []);
+              sv_built = None;
+              sv_saved = None;
             },
             reach ))
   | _ -> cold_build ()
@@ -1210,15 +1252,20 @@ let serve_cmd =
             (fun m j -> Analysis.Protolint.violations m j)
             env.sv_proto
         in
-        let engine =
-          match env.sv_base with
-          | `Graph graph ->
-              Prospector.Query.engine ~cache_capacity ?reach ~pool ?edge_cost
-                ?protocol_check ~graph ~hierarchy:env.sv_hierarchy ()
-          | `Frozen frozen ->
-              Prospector.Query.engine_of_frozen ~cache_capacity ?reach ~pool
-                ?edge_cost ?protocol_check ~frozen ~hierarchy:env.sv_hierarchy ()
+        let engine, freeze_s =
+          timed (fun () ->
+              match env.sv_base with
+              | `Graph graph ->
+                  Prospector.Query.engine ~cache_capacity ?reach ~pool ?edge_cost
+                    ?protocol_check ~graph ~hierarchy:env.sv_hierarchy ()
+              | `Frozen frozen ->
+                  Prospector.Query.engine_of_frozen ~cache_capacity ?reach ~pool
+                    ?edge_cost ?protocol_check ~frozen ~hierarchy:env.sv_hierarchy ())
         in
+        Option.iter
+          (fun t -> Printf.eprintf "%s\n%!" (built_line t ~freeze_s))
+          env.sv_built;
+        Option.iter (Printf.eprintf "%s\n%!") env.sv_saved;
         (* ---- live-reload callbacks (DESIGN §9) ----
            The service applies deltas; what it cannot do without the mining
            layer is injected here: re-deriving the usage/protocol models

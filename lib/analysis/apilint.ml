@@ -150,7 +150,9 @@ let lint_graph h g =
       let subject = edge_subject g e in
       bump e.Graph.src;
       bump e.Graph.dst;
-      (* A012: duplicates (defensive — [Graph.add_edge] drops them). *)
+      (* A012: duplicates. [Graph.add_edge] drops them, but
+         [Graph.append_edge] takes the caller's word — the signature
+         build's per-declaration dedup — so this catches a broken build. *)
       let key = (e.Graph.src, e.Graph.dst, e.Graph.elem) in
       if Hashtbl.mem seen_edges key then
         report Diagnostic.Warning "A012" subject "duplicate edge"

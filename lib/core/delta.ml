@@ -152,21 +152,6 @@ let member_owner = function
       Some owner
   | Elem.Widen _ | Elem.Downcast _ -> None
 
-(* Match [Graph.add_edge]'s dedup: an elem's (src, dst) is a function of the
-   elem, and owners make elems from different decls distinct, so keep-first
-   over the decl's own emission order reproduces the edges that actually
-   land in the graph. *)
-let dedup_elems elems =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun e ->
-      if Hashtbl.mem seen e then false
-      else begin
-        Hashtbl.add seen e ();
-        true
-      end)
-    elems
-
 (* First-mention order of array types over the decl's interleaved
    input/output type stream — the exact order pass 2 of [Sig_graph.build]
    would intern them in. Node-id stability requires this sequence to be
@@ -241,7 +226,7 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
     | None -> raise Fallback
   in
   (* Decl rank = position in the hierarchy's iteration order; pass 2 emits
-     member edges decl by decl in that order and [Graph.add_edge] conses to
+     member edges decl by decl in that order and [Graph.append_edge] conses to
      the row front, so a frozen row's member region holds per-decl blocks in
      strictly descending rank. Built lazily: ranks are only consulted when a
      replaced owner's block must be *inserted* into a row that had none —
@@ -673,8 +658,8 @@ let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost)
                   (fun q -> Hierarchy.mem hierarchy q)
                   (Hierarchy.referenced_qnames new_d)
              &&
-             let old_elems = dedup_elems (Sig_graph.elems_of_decl ~config old_d) in
-             let new_elems = dedup_elems (Sig_graph.elems_of_decl ~config new_d) in
+             let old_elems = Sig_graph.elems_of_decl ~config old_d in
+             let new_elems = Sig_graph.elems_of_decl ~config new_d in
              List.length (array_mentions old_elems)
              = List.length (array_mentions new_elems)
              && List.for_all2 Jtype.equal (array_mentions old_elems)
@@ -690,8 +675,8 @@ let apply ?(config = Sig_graph.default_config) ?(wcost = Graph.default_wcost)
             let new_d = Hierarchy.find h' old_d.Decl.dname in
             ( k,
               {
-                r_old_elems = dedup_elems (Sig_graph.elems_of_decl ~config old_d);
-                r_new_elems = dedup_elems (Sig_graph.elems_of_decl ~config new_d);
+                r_old_elems = Sig_graph.elems_of_decl ~config old_d;
+                r_new_elems = Sig_graph.elems_of_decl ~config new_d;
               } )
             :: acc)
           originals []

@@ -21,7 +21,9 @@ type t = {
   mutable n : int;
   mutable edges : int;
   mutable generation : int;
-  edge_seen : (node * Elem.t * node, unit) Hashtbl.t;
+  mutable edge_seen : (node * Elem.t * node, unit) Hashtbl.t option;
+      (* built on the first [add_edge]: [append_edge] callers dedup on
+         their own, so a pure signature build never pays for it *)
 }
 
 let initial_capacity = 256
@@ -35,7 +37,7 @@ let create () =
     n = 0;
     edges = 0;
     generation = 0;
-    edge_seen = Hashtbl.create initial_capacity;
+    edge_seen = None;
   }
 
 let grow t =
@@ -79,16 +81,29 @@ let void_node t = ensure_type_node t Jtype.Void
 let add_typestate t ~underlying ~origin =
   fresh_node t { ty = underlying; origin = Some origin }
 
+let append_edge t ~src elem ~dst =
+  (match t.edge_seen with
+  | Some seen -> Hashtbl.replace seen (src, elem, dst) ()
+  | None -> ());
+  let e = { elem; src; dst } in
+  t.fwd.(src) <- e :: t.fwd.(src);
+  t.bwd.(dst) <- e :: t.bwd.(dst);
+  t.edges <- t.edges + 1;
+  t.generation <- t.generation + 1
+
+let edge_seen t =
+  match t.edge_seen with
+  | Some seen -> seen
+  | None ->
+      let seen = Hashtbl.create (max initial_capacity t.edges) in
+      for u = 0 to t.n - 1 do
+        List.iter (fun e -> Hashtbl.replace seen (e.src, e.elem, e.dst) ()) t.fwd.(u)
+      done;
+      t.edge_seen <- Some seen;
+      seen
+
 let add_edge t ~src elem ~dst =
-  let key = (src, elem, dst) in
-  if not (Hashtbl.mem t.edge_seen key) then begin
-    Hashtbl.replace t.edge_seen key ();
-    let e = { elem; src; dst } in
-    t.fwd.(src) <- e :: t.fwd.(src);
-    t.bwd.(dst) <- e :: t.bwd.(dst);
-    t.edges <- t.edges + 1;
-    t.generation <- t.generation + 1
-  end
+  if not (Hashtbl.mem (edge_seen t) (src, elem, dst)) then append_edge t ~src elem ~dst
 
 let node_type t id = t.info.(id).ty
 

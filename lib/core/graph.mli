@@ -37,7 +37,22 @@ val add_typestate : t -> underlying:Jtype.t -> origin:string -> node
     created it (used by DOT output and debugging). *)
 
 val add_edge : t -> src:node -> Elem.t -> dst:node -> unit
-(** Duplicate edges (same source, elem, and destination) are dropped. *)
+(** Insert an edge unless the same [(src, elem, dst)] is already present:
+    the first insertion is kept, and a duplicate changes nothing — not even
+    {!generation}. An elem determines its endpoints ([src] and [dst] are
+    the nodes of {!Elem.input_type} and {!Elem.output_type}, or a typestate
+    node a mined example chose), so the check is in effect on the elem.
+
+    The check uses a table over every edge, built on the graph's first
+    [add_edge]. A graph filled only by {!append_edge} — the signature build
+    — has none until then, so the first [add_edge] after a build (mined
+    splicing, the v1 loader) pays one O(edges) pass to build it. *)
+
+val append_edge : t -> src:node -> Elem.t -> dst:node -> unit
+(** {!add_edge} without the duplicate check: the caller guarantees the edge
+    is new. {!Sig_graph.build} dedups each declaration's elems itself, and
+    owners keep elems from different declarations distinct. Appending a
+    duplicate breaks {!edge_count} and every snapshot taken afterwards. *)
 
 val node_type : t -> node -> Jtype.t
 (** The type carried by the node — for typestate nodes, the underlying

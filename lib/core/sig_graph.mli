@@ -30,10 +30,15 @@ val elems_of_decl : ?config:config -> Decl.t -> Elem.t list
 (** The elementary jungloids contributed by one declaration, excluding
     widening (which is derived from the hierarchy, not the declaration).
     Elementary jungloids whose output is not a reference type are omitted —
-    they cannot produce an object. *)
+    they cannot produce an object. The list is deduped keep-first: a
+    member declared twice contributes its elems once, at the first
+    declaration's position — exactly the edges {!build} adds. *)
 
 val build : ?config:config -> Hierarchy.t -> Graph.t
-(** Build the signature graph for a whole hierarchy. *)
+(** Build the signature graph for a whole hierarchy. Edges go in with
+    {!Graph.append_edge}: each declaration's elems and direct supertypes
+    are deduped here, so the graph's global duplicate table is never built
+    unless a later {!Graph.add_edge} needs it. *)
 
 val add_all_downcasts : Graph.t -> Hierarchy.t -> int
 (** Figure 3 mode: add a downcast edge from every real class node to every

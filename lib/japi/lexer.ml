@@ -3,79 +3,149 @@ let is_ident_start c =
 
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
-let tokenize ~file src =
+type cursor = {
+  file : string;
+  src : string;
+  mutable i : int;
+  mutable line : int;
+  mutable bol : int;
+  mutable kind : Token.kind;
+  mutable tline : int;
+  mutable tcol : int;
+  mutable prev_line : int;
+  mutable prev_col : int;
+}
+
+(* Columns are byte offsets from the start of the line, so only newlines
+   need bookkeeping: [bol] is the offset just past the last '\n' seen. *)
+let newline cur i =
+  cur.line <- cur.line + 1;
+  cur.bol <- i + 1
+
+let punct = function
+  | '{' -> Token.Lbrace
+  | '}' -> Token.Rbrace
+  | '(' -> Token.Lparen
+  | ')' -> Token.Rparen
+  | ';' -> Token.Semi
+  | ',' -> Token.Comma
+  | '.' -> Token.Dot
+  | '[' -> Token.Lbracket
+  | ']' -> Token.Rbracket
+  | '@' -> Token.At
+  | _ -> Token.Eof
+
+(* Scan the next token into [kind]/[tline]/[tcol], skipping blanks and
+   comments. *)
+let rec scan cur =
+  let src = cur.src in
   let n = String.length src in
-  let tokens = ref [] in
-  let line = ref 1 in
-  let col = ref 1 in
-  let i = ref 0 in
-  let emit kind ~line ~col = tokens := { Token.kind; line; col } :: !tokens in
-  let advance () =
-    (if src.[!i] = '\n' then (
-       incr line;
-       col := 1)
-     else incr col);
+  let i = ref cur.i in
+  while
+    !i < n
+    &&
+    match String.unsafe_get src !i with
+    | ' ' | '\t' | '\r' -> true
+    | '\n' ->
+        newline cur !i;
+        true
+    | _ -> false
+  do
     incr i
-  in
-  while !i < n do
-    let c = src.[!i] in
-    let tok_line = !line and tok_col = !col in
-    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then advance ()
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '/' then
-      while !i < n && src.[!i] <> '\n' do
-        advance ()
-      done
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '*' then begin
-      advance ();
-      advance ();
+  done;
+  let i = !i in
+  cur.i <- i;
+  cur.tline <- cur.line;
+  cur.tcol <- i - cur.bol + 1;
+  if i >= n then cur.kind <- Token.Eof
+  else
+    let c = String.unsafe_get src i in
+    if c = '/' && i + 1 < n && src.[i + 1] = '/' then begin
+      let j = ref (i + 2) in
+      while !j < n && String.unsafe_get src !j <> '\n' do
+        incr j
+      done;
+      cur.i <- !j;
+      scan cur
+    end
+    else if c = '/' && i + 1 < n && src.[i + 1] = '*' then begin
+      let line = cur.tline and col = cur.tcol in
+      cur.i <- i + 2;
       let closed = ref false in
-      while (not !closed) && !i < n do
-        if src.[!i] = '*' && !i + 1 < n && src.[!i + 1] = '/' then begin
-          advance ();
-          advance ();
+      while (not !closed) && cur.i < n do
+        let c = String.unsafe_get src cur.i in
+        if c = '*' && cur.i + 1 < n && src.[cur.i + 1] = '/' then begin
+          cur.i <- cur.i + 2;
           closed := true
         end
-        else advance ()
+        else begin
+          if c = '\n' then newline cur cur.i;
+          cur.i <- cur.i + 1
+        end
       done;
       if not !closed then
-        Error.fail ~file ~line:tok_line ~col:tok_col "unterminated block comment"
+        Error.fail ~file:cur.file ~line ~col "unterminated block comment";
+      scan cur
     end
     else if is_ident_start c then begin
-      let start = !i in
-      while !i < n && is_ident_char src.[!i] do
-        advance ()
+      let j = ref (i + 1) in
+      while !j < n && is_ident_char (String.unsafe_get src !j) do
+        incr j
       done;
-      let word = String.sub src start (!i - start) in
-      let kind =
-        match Token.keyword_of_ident word with
+      cur.i <- !j;
+      let word = String.sub src i (!j - i) in
+      cur.kind <-
+        (match Token.keyword_of_ident word with
         | Some kw -> kw
-        | None -> Token.Ident word
-      in
-      emit kind ~line:tok_line ~col:tok_col
+        | None -> Token.Ident word)
     end
-    else begin
-      let kind =
-        match c with
-        | '{' -> Some Token.Lbrace
-        | '}' -> Some Token.Rbrace
-        | '(' -> Some Token.Lparen
-        | ')' -> Some Token.Rparen
-        | ';' -> Some Token.Semi
-        | ',' -> Some Token.Comma
-        | '.' -> Some Token.Dot
-        | '[' -> Some Token.Lbracket
-        | ']' -> Some Token.Rbracket
-        | '@' -> Some Token.At
-        | _ -> None
-      in
-      match kind with
-      | Some k ->
-          advance ();
-          emit k ~line:tok_line ~col:tok_col
-      | None ->
-          Error.fail ~file ~line:tok_line ~col:tok_col
+    else
+      match punct c with
+      | Token.Eof ->
+          Error.fail ~file:cur.file ~line:cur.tline ~col:cur.tcol
             (Printf.sprintf "unexpected character '%c'" c)
-    end
+      | k ->
+          cur.i <- i + 1;
+          cur.kind <- k
+
+let cursor ~file src =
+  let cur =
+    {
+      file;
+      src;
+      i = 0;
+      line = 1;
+      bol = 0;
+      kind = Token.Eof;
+      tline = 1;
+      tcol = 1;
+      prev_line = 1;
+      prev_col = 1;
+    }
+  in
+  scan cur;
+  cur
+
+let at_eof cur = match cur.kind with Token.Eof -> true | _ -> false
+
+let advance cur =
+  if not (at_eof cur) then begin
+    cur.prev_line <- cur.tline;
+    cur.prev_col <- cur.tcol;
+    scan cur
+  end
+
+let drain cur =
+  while not (at_eof cur) do
+    advance cur
+  done
+
+let tokenize ~file src =
+  let cur = cursor ~file src in
+  let toks = ref [] in
+  while not (at_eof cur) do
+    toks := { Token.kind = cur.kind; line = cur.tline; col = cur.tcol } :: !toks;
+    advance cur
   done;
-  tokens := { Token.kind = Token.Eof; line = !line; col = !col } :: !tokens;
-  Array.of_list (List.rev !tokens)
+  Array.of_list
+    (List.rev ({ Token.kind = Token.Eof; line = cur.tline; col = cur.tcol } :: !toks))

@@ -60,45 +60,56 @@ let resolve_name r (rf : Ast.rfile) ~line name =
                 (Printf.sprintf "ambiguous type name '%s': could be %s" name
                    (String.concat " or " (List.map Qname.to_string qs))))
 
-let resolve_type r rf ~line (rt : Ast.rtype) =
+(* [types] memoizes resolved base types per file: a name resolves the same
+   way everywhere in one file, so each distinct name is resolved once and
+   its [Jtype.t] shared by every mention. Errors are never memoized, so the
+   first failing mention still reports. *)
+let resolve_type r rf types ~line (rt : Ast.rtype) =
   let base =
-    if String.equal rt.base "void" then Jtype.Void
-    else
-      match Jtype.prim_of_string rt.base with
-      | Some p -> Jtype.Prim p
-      | None -> Jtype.Ref (resolve_name r rf ~line rt.base)
+    match Hashtbl.find_opt types rt.base with
+    | Some ty -> ty
+    | None ->
+        let ty =
+          if String.equal rt.base "void" then Jtype.Void
+          else
+            match Jtype.prim_of_string rt.base with
+            | Some p -> Jtype.Prim p
+            | None -> Jtype.Ref (resolve_name r rf ~line rt.base)
+        in
+        Hashtbl.add types rt.base ty;
+        ty
   in
   let rec wrap ty n = if n = 0 then ty else wrap (Jtype.Array ty) (n - 1) in
   wrap base rt.dims
 
-let resolve_params r rf ~line params =
+let resolve_params r rf types ~line params =
   List.mapi
     (fun i (p : Ast.rparam) ->
       let name =
         match p.pname with Some n -> n | None -> Printf.sprintf "arg%d" i
       in
-      (name, resolve_type r rf ~line p.ptype))
+      (name, resolve_type r rf types ~line p.ptype))
     params
 
-let resolve_decl r (rf : Ast.rfile) (d : Ast.rdecl) =
+let resolve_decl r (rf : Ast.rfile) types (d : Ast.rdecl) =
   let line = d.decl_line in
   let fields, methods, ctors =
     List.fold_left
       (fun (fs, ms, cs) m ->
         match m with
         | Ast.Rfield { vis; static; typ; name } ->
-            ( Member.field ~vis ~static name (resolve_type r rf ~line typ) :: fs,
+            ( Member.field ~vis ~static name (resolve_type r rf types ~line typ) :: fs,
               ms,
               cs )
         | Ast.Rmeth { vis; static; deprecated; ret; name; params } ->
             ( fs,
               Member.meth ~vis ~static ~deprecated name
-                ~params:(resolve_params r rf ~line params)
-                ~ret:(resolve_type r rf ~line ret)
+                ~params:(resolve_params r rf types ~line params)
+                ~ret:(resolve_type r rf types ~line ret)
               :: ms,
               cs )
         | Ast.Rctor { vis; params } ->
-            (fs, ms, Member.ctor ~vis (resolve_params r rf ~line params) :: cs))
+            (fs, ms, Member.ctor ~vis (resolve_params r rf types ~line params) :: cs))
       ([], [], []) d.members
   in
   Decl.make ~kind:d.kind ~abstract:d.abstract
@@ -155,7 +166,9 @@ let load_rfiles rfiles =
   let r = build_resolver rfiles in
   let decls =
     List.concat_map
-      (fun (rf : Ast.rfile) -> List.map (resolve_decl r rf) rf.decls)
+      (fun (rf : Ast.rfile) ->
+        let types = Hashtbl.create 64 in
+        List.map (resolve_decl r rf types) rf.decls)
       rfiles
   in
   let h = Hierarchy.of_decls decls in

@@ -1,54 +1,55 @@
-type state = {
-  file : string;
-  toks : Token.t array;
-  mutable pos : int;
-}
+(* The parser pulls tokens straight from the lexer cursor: [cur.kind] is the
+   lookahead, [Lexer.advance] consumes it. *)
+type state = Lexer.cursor
 
-let peek st = st.toks.(st.pos)
+let kind (st : state) = st.Lexer.kind
 
-let next st =
-  let t = st.toks.(st.pos) in
-  if t.Token.kind <> Token.Eof then st.pos <- st.pos + 1;
-  t
+let skip = Lexer.advance
 
-let fail_at st (t : Token.t) msg = Error.fail ~file:st.file ~line:t.line ~col:t.col msg
+(* Drain before raising: a lexical error anywhere in the file outranks a
+   syntax error, exactly as when the file was tokenized up front. *)
+let fail_at st ~line ~col msg =
+  Lexer.drain st;
+  Error.fail ~file:st.Lexer.file ~line ~col msg
 
-let expect st kind =
-  let t = next st in
-  if t.Token.kind <> kind then
-    fail_at st t
-      (Printf.sprintf "expected %s but found %s" (Token.describe kind)
-         (Token.describe t.Token.kind))
+let fail_here st msg = fail_at st ~line:st.Lexer.tline ~col:st.Lexer.tcol msg
+
+let expected st what =
+  fail_here st
+    (Printf.sprintf "expected %s but found %s" what (Token.describe (kind st)))
+
+(* [k] is always a constant constructor, so physical equality decides it
+   without a polymorphic-compare call per token. *)
+let expect st k =
+  if kind st == k then skip st else expected st (Token.describe k)
 
 let expect_ident st what =
-  let t = next st in
-  match t.Token.kind with
-  | Token.Ident s -> s
-  | k -> fail_at st t (Printf.sprintf "expected %s but found %s" what (Token.describe k))
+  match kind st with
+  | Token.Ident s ->
+      skip st;
+      s
+  | _ -> expected st what
 
 (* Dotted name: IDENT (. IDENT)* *)
 let parse_dotted st =
   let first = expect_ident st "a name" in
-  let buf = Buffer.create 16 in
-  Buffer.add_string buf first;
-  let rec loop () =
-    match (peek st).Token.kind with
+  let rec rest acc =
+    match kind st with
     | Token.Dot ->
-        ignore (next st);
-        Buffer.add_char buf '.';
-        Buffer.add_string buf (expect_ident st "a name after '.'");
-        loop ()
-    | _ -> ()
+        skip st;
+        rest (expect_ident st "a name after '.'" :: acc)
+    | _ -> acc
   in
-  loop ();
-  Buffer.contents buf
+  match rest [] with
+  | [] -> first
+  | parts -> String.concat "." (first :: List.rev parts)
 
 let parse_type st =
   let base = parse_dotted st in
   let rec dims n =
-    match (peek st).Token.kind with
+    match kind st with
     | Token.Lbracket ->
-        ignore (next st);
+        skip st;
         expect st Token.Rbracket;
         dims (n + 1)
     | _ -> n
@@ -67,34 +68,34 @@ let parse_annotations_and_modifiers st =
     { vis = Javamodel.Member.Public; static = false; abstract = false; deprecated = false }
   in
   let rec loop () =
-    match (peek st).Token.kind with
+    match kind st with
     | Token.At ->
-        ignore (next st);
+        skip st;
         let name = expect_ident st "an annotation name" in
         if String.equal name "Deprecated" then m.deprecated <- true;
         loop ()
     | Token.Kw_public ->
-        ignore (next st);
+        skip st;
         m.vis <- Javamodel.Member.Public;
         loop ()
     | Token.Kw_protected ->
-        ignore (next st);
+        skip st;
         m.vis <- Javamodel.Member.Protected;
         loop ()
     | Token.Kw_private ->
-        ignore (next st);
+        skip st;
         m.vis <- Javamodel.Member.Private;
         loop ()
     | Token.Kw_static ->
-        ignore (next st);
+        skip st;
         m.static <- true;
         loop ()
     | Token.Kw_abstract ->
-        ignore (next st);
+        skip st;
         m.abstract <- true;
         loop ()
     | Token.Kw_final ->
-        ignore (next st);
+        skip st;
         loop ()
     | _ -> ()
   in
@@ -104,20 +105,20 @@ let parse_annotations_and_modifiers st =
 let parse_params st =
   expect st Token.Lparen;
   let params = ref [] in
-  (match (peek st).Token.kind with
+  (match kind st with
   | Token.Rparen -> ()
   | _ ->
       let rec loop () =
         let ptype = parse_type st in
         let pname =
-          match (peek st).Token.kind with
+          match kind st with
           | Token.Ident _ -> Some (expect_ident st "a parameter name")
           | _ -> None
         in
         params := { Ast.ptype; pname } :: !params;
-        match (peek st).Token.kind with
+        match kind st with
         | Token.Comma ->
-            ignore (next st);
+            skip st;
             loop ()
         | _ -> ()
       in
@@ -128,7 +129,7 @@ let parse_params st =
 let parse_member st ~decl_name =
   let m = parse_annotations_and_modifiers st in
   let first = parse_type st in
-  match (peek st).Token.kind with
+  match kind st with
   | Token.Lparen when first.Ast.dims = 0 && String.equal first.Ast.base decl_name ->
       (* Constructor: the declaration's own simple name followed by '('. *)
       let params = parse_params st in
@@ -136,7 +137,7 @@ let parse_member st ~decl_name =
       Ast.Rctor { vis = m.vis; params }
   | _ -> (
       let name = expect_ident st "a member name" in
-      match (peek st).Token.kind with
+      match kind st with
       | Token.Lparen ->
           let params = parse_params st in
           expect st Token.Semi;
@@ -156,56 +157,59 @@ let parse_member st ~decl_name =
 let parse_name_list st =
   let rec loop acc =
     let n = parse_dotted st in
-    match (peek st).Token.kind with
+    match kind st with
     | Token.Comma ->
-        ignore (next st);
+        skip st;
         loop (n :: acc)
     | _ -> List.rev (n :: acc)
   in
   loop []
 
 let parse_decl st =
-  let decl_line = (peek st).Token.line in
+  let decl_line = st.Lexer.tline in
   let m = parse_annotations_and_modifiers st in
-  let kind =
-    match (next st).Token.kind with
+  let k = kind st in
+  skip st;
+  let dkind =
+    match k with
     | Token.Kw_class -> Javamodel.Decl.Class
     | Token.Kw_interface -> Javamodel.Decl.Interface
     | k ->
-        fail_at st
-          st.toks.(st.pos - 1)
+        (* the token just consumed — or, at end of input (which [skip] does
+           not step past), the last real token *)
+        fail_at st ~line:st.Lexer.prev_line ~col:st.Lexer.prev_col
           (Printf.sprintf "expected 'class' or 'interface' but found %s"
              (Token.describe k))
   in
   let name = expect_ident st "a class or interface name" in
   let extends =
-    match (peek st).Token.kind with
+    match kind st with
     | Token.Kw_extends ->
-        ignore (next st);
+        skip st;
         parse_name_list st
     | _ -> []
   in
   let implements =
-    match (peek st).Token.kind with
+    match kind st with
     | Token.Kw_implements ->
-        ignore (next st);
+        skip st;
         parse_name_list st
     | _ -> []
   in
   expect st Token.Lbrace;
   let members = ref [] in
   let rec loop () =
-    match (peek st).Token.kind with
-    | Token.Rbrace -> ignore (next st)
-    | Token.Eof -> fail_at st (peek st) "unexpected end of input inside a declaration"
+    match kind st with
+    | Token.Rbrace -> skip st
+    | Token.Eof -> fail_here st "unexpected end of input inside a declaration"
     | _ ->
         members := parse_member st ~decl_name:name :: !members;
         loop ()
   in
   loop ();
   {
-    Ast.kind;
-    abstract = m.abstract || kind = Javamodel.Decl.Interface;
+    Ast.kind = dkind;
+    abstract = m.abstract || dkind = Javamodel.Decl.Interface;
     name;
     extends;
     implements;
@@ -214,11 +218,11 @@ let parse_decl st =
   }
 
 let parse ~file src =
-  let st = { file; toks = Lexer.tokenize ~file src; pos = 0 } in
+  let st = Lexer.cursor ~file src in
   let package =
-    match (peek st).Token.kind with
+    match kind st with
     | Token.Kw_package ->
-        ignore (next st);
+        skip st;
         let name = parse_dotted st in
         expect st Token.Semi;
         String.split_on_char '.' name
@@ -226,9 +230,9 @@ let parse ~file src =
   in
   let imports = ref [] in
   let rec import_loop () =
-    match (peek st).Token.kind with
+    match kind st with
     | Token.Kw_import ->
-        ignore (next st);
+        skip st;
         imports := parse_dotted st :: !imports;
         expect st Token.Semi;
         import_loop ()
@@ -237,7 +241,7 @@ let parse ~file src =
   import_loop ();
   let decls = ref [] in
   let rec decl_loop () =
-    match (peek st).Token.kind with
+    match kind st with
     | Token.Eof -> ()
     | _ ->
         decls := parse_decl st :: !decls;

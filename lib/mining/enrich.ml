@@ -51,15 +51,15 @@ let visible ~include_protected (ex : Extract.example) =
 
 let examples ?max_per_cast ?max_len ?(include_protected = false)
     ?(flow_sensitive = false) ?pool prog =
-  let df = Dataflow.build ~flow_sensitive prog in
+  let df = Analysis.Dataflow.build ~flow_sensitive prog in
   List.filter (visible ~include_protected)
     (Extract.extract ?max_per_cast ?max_len ?pool df)
 
 let enrich ?max_per_cast ?max_len ?(generalize = true) ?min_keep
     ?(include_protected = false) ?(flow_sensitive = false) ?pool ?on_examples g
     prog =
-  let df = Dataflow.build ~flow_sensitive prog in
-  let casts = List.length (Dataflow.casts df) in
+  let df = Analysis.Dataflow.build ~flow_sensitive prog in
+  let casts = List.length (Analysis.Dataflow.casts df) in
   let examples =
     List.filter (visible ~include_protected)
       (Extract.extract ?max_per_cast ?max_len ?pool df)

@@ -74,7 +74,7 @@ let terminal budget ch =
 let rec trace df budget visiting key (e : Tast.texpr) : chain list =
   if budget.remaining <= 0 then []
   else
-    let h = (Dataflow.program df).Tast.hierarchy in
+    let h = (Analysis.Dataflow.program df).Tast.hierarchy in
     match e.Tast.tdesc with
     | Tast.Tnull | Tast.Tint _ | Tast.Tbool _ | Tast.Thole -> []
     | Tast.Tstring _ -> terminal budget (empty_chain Jtype.string_t)
@@ -84,8 +84,8 @@ let rec trace df budget visiting key (e : Tast.texpr) : chain list =
         if List.mem slot visiting then []
         else
           let visiting = slot :: visiting in
-          if Dataflow.is_param df ~method_key:key ~var:v then begin
-            match Dataflow.param_producers df ~method_key:key ~var:v with
+          if Analysis.Dataflow.is_param df ~method_key:key ~var:v then begin
+            match Analysis.Dataflow.param_producers df ~method_key:key ~var:v with
             | [] -> terminal budget (empty_chain e.Tast.ty)
             | producers ->
                 collect budget producers ~f:(fun (caller_key, arg) ->
@@ -96,9 +96,9 @@ let rec trace df budget visiting key (e : Tast.texpr) : chain list =
           else begin
             (* flow-sensitive mode narrows to the defs reaching this use *)
             let producers =
-              match Dataflow.reaching_defs df e with
+              match Analysis.Dataflow.reaching_defs df e with
               | Some defs -> defs
-              | None -> Dataflow.var_producers df ~method_key:key ~var:v
+              | None -> Analysis.Dataflow.var_producers df ~method_key:key ~var:v
             in
             match producers with
             | [] -> terminal budget (empty_chain e.Tast.ty)
@@ -114,7 +114,7 @@ let rec trace df budget visiting key (e : Tast.texpr) : chain list =
                if ch.c_len + 1 > budget.max_len then None
                else
                  Some (push_elem ch (Elem.Downcast { from_ = inner.Tast.ty; to_ })))
-    | Tast.Tfield (_recv, owner, f) when Dataflow.is_corpus_class df owner ->
+    | Tast.Tfield (_recv, owner, f) when Analysis.Dataflow.is_corpus_class df owner ->
         (* A corpus class's field is not an API element: inline through the
            corpus-wide assignments to it. *)
         let slot = "field:" ^ Qname.to_string owner ^ "#" ^ f.Member.fname in
@@ -122,7 +122,7 @@ let rec trace df budget visiting key (e : Tast.texpr) : chain list =
         else
           let visiting = slot :: visiting in
           collect budget
-            (Dataflow.field_producers df ~owner ~field:f.Member.fname)
+            (Analysis.Dataflow.field_producers df ~owner ~field:f.Member.fname)
             ~f:(fun p ->
               trace df budget visiting key p
               |> List.filter_map (fun ch ->
@@ -162,7 +162,7 @@ let rec trace df budget visiting key (e : Tast.texpr) : chain list =
           ~recv:None ~mk
     | Tast.Tstatic_call (owner, m, args) -> (
         match
-          Dataflow.corpus_static_callee df ~owner ~name:m.Member.mname
+          Analysis.Dataflow.corpus_static_callee df ~owner ~name:m.Member.mname
             ~arity:(List.length args)
         with
         | Some callee -> inline_chains df budget visiting callee ~declared_ret:e.Tast.ty
@@ -172,7 +172,7 @@ let rec trace df budget visiting key (e : Tast.texpr) : chain list =
               ~mk)
     | Tast.Tcall (recv, owner, m, args) -> (
         let callees =
-          Dataflow.corpus_callees df ~recv_type:recv.Tast.ty ~name:m.Member.mname
+          Analysis.Dataflow.corpus_callees df ~recv_type:recv.Tast.ty ~name:m.Member.mname
             ~arity:(List.length args)
         in
         match callees with
@@ -189,7 +189,7 @@ let rec trace df budget visiting key (e : Tast.texpr) : chain list =
    present) and every reference-typed argument. A call with no reference
    inputs is a zero-argument expression and terminates the walk. *)
 and call_chains df budget visiting key ~params ~args ~recv ~mk =
-  let h = (Dataflow.program df).Tast.hierarchy in
+  let h = (Analysis.Dataflow.program df).Tast.hierarchy in
   let ref_idxs = ref_param_indices params in
   let recv_branch =
     match recv with
@@ -227,7 +227,7 @@ and call_chains df budget visiting key ~params ~args ~recv ~mk =
 (* Inline a corpus method: its value is whatever its return expressions
    produce. *)
 and inline_chains df budget visiting (callee : Tast.tmeth) ~declared_ret =
-  let h = (Dataflow.program df).Tast.hierarchy in
+  let h = (Analysis.Dataflow.program df).Tast.hierarchy in
   let ckey = Tast.method_key callee in
   let slot = "inline:" ^ ckey in
   if List.mem slot visiting then []
@@ -268,7 +268,7 @@ let lint_gate_of df =
     | Some bad -> bad
     | None ->
         let bad =
-          match Dataflow.find_method df ~key with
+          match Analysis.Dataflow.find_method df ~key with
           | Some m -> Analysis.Corpuslint.method_has_errors df m
           | None -> false
         in
@@ -296,7 +296,7 @@ let extract_common ?(max_per_cast = 64) ?(max_len = 12) ?(lint_gate = true)
       Hashtbl.find verdicts
     end
   in
-  Hierarchy.warm (Dataflow.program df).Tast.hierarchy;
+  Hierarchy.warm (Analysis.Dataflow.program df).Tast.hierarchy;
   List.concat
     (Pool.map_list pool
        (fun (key, origin, mk_chains) ->
@@ -322,7 +322,7 @@ let extract ?max_per_cast ?max_len ?lint_gate ?pool df =
           fun budget ->
             (* The cast expression itself is the end of the example. *)
             trace df budget [] key cast_expr ))
-      (Dataflow.casts df)
+      (Analysis.Dataflow.casts df)
   in
   extract_common ?max_per_cast ?max_len ?lint_gate ?pool ~df ~sites ()
 
@@ -354,7 +354,7 @@ let extract_for_arg ?max_per_cast ?max_len ?lint_gate ?pool df ~is_target =
                           ( key,
                             origin,
                             fun budget ->
-                              let hh = (Dataflow.program df).Tast.hierarchy in
+                              let hh = (Analysis.Dataflow.program df).Tast.hierarchy in
                               trace df budget [] key arg
                               |> List.filter_map (fun ch ->
                                      if ch.c_len + 1 > budget.max_len then None
@@ -367,5 +367,5 @@ let extract_for_arg ?max_per_cast ?max_len ?lint_gate ?pool df ~is_target =
                     | _ -> ())
                 meth.Member.params)
           | _ -> ()))
-    (Dataflow.program df).Tast.methods;
+    (Analysis.Dataflow.program df).Tast.methods;
   extract_common ?max_per_cast ?max_len ?lint_gate ?pool ~df ~sites:(List.rev !sites) ()

@@ -37,7 +37,7 @@ val extract :
   ?max_len:int ->
   ?lint_gate:bool ->
   ?pool:Prospector_parallel.Pool.t ->
-  Dataflow.t ->
+  Analysis.Dataflow.t ->
   example list
 (** All example jungloids ending in casts, at most [max_per_cast] (default
     64) per cast expression and at most [max_len] (default 12) non-widening
@@ -56,7 +56,7 @@ val extract_for_arg :
   ?max_len:int ->
   ?lint_gate:bool ->
   ?pool:Prospector_parallel.Pool.t ->
-  Dataflow.t ->
+  Analysis.Dataflow.t ->
   is_target:(Javamodel.Jtype.t -> bool) ->
   example list
 (** The Section 4.3 generalization of the machinery: extract examples ending

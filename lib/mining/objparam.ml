@@ -15,7 +15,7 @@ type stats = {
 
 let enrich ?max_per_cast ?max_len ?(generalize = true) ?min_keep
     ?(is_target = is_obj_or_string) g prog =
-  let df = Dataflow.build prog in
+  let df = Analysis.Dataflow.build prog in
   let examples = Extract.extract_for_arg ?max_per_cast ?max_len df ~is_target in
   let sites =
     List.length

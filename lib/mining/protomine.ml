@@ -37,14 +37,14 @@ and var_producer df ~visited ~method_key v =
     Protocol.Unknown
   else
     let visited = (method_key, v) :: visited in
-    if Dataflow.is_param df ~method_key ~var:v then
-      match Dataflow.param_producers df ~method_key ~var:v with
+    if Analysis.Dataflow.is_param df ~method_key ~var:v then
+      match Analysis.Dataflow.param_producers df ~method_key ~var:v with
       | [] -> Protocol.Param
       | (caller_key, arg) :: _ ->
           producer_of_expr df ~visited ~method_key:caller_key arg
     | exception Not_found -> Protocol.Unknown
     else
-      match Dataflow.var_producers df ~method_key ~var:v with
+      match Analysis.Dataflow.var_producers df ~method_key ~var:v with
       | [] -> Protocol.Unknown
       | e :: _ -> producer_of_expr df ~visited ~method_key e
 
@@ -120,7 +120,7 @@ let rec scan df ~visited ~(meth : Tast.tmeth) ~emit_var ~emit_anon =
         record_receiver recv m e.loc ~discarded;
         splice_args
           (match
-             Dataflow.corpus_callees df ~recv_type:recv.ty ~name:m.mname
+             Analysis.Dataflow.corpus_callees df ~recv_type:recv.ty ~name:m.mname
                ~arity:(List.length m.params)
            with
           | callee :: _ -> Some callee
@@ -129,7 +129,7 @@ let rec scan df ~visited ~(meth : Tast.tmeth) ~emit_var ~emit_anon =
     | Tstatic_call (owner, m, args) ->
         List.iter (fun a -> expr a) args;
         splice_args
-          (Dataflow.corpus_static_callee df ~owner ~name:m.mname
+          (Analysis.Dataflow.corpus_static_callee df ~owner ~name:m.mname
              ~arity:(List.length m.params))
           args
     | Tnew (_, args) -> List.iter (fun a -> expr a) args
@@ -193,8 +193,8 @@ let method_sequences df (meth : Tast.tmeth) =
            (* A parameter with corpus callers is already accounted for by
               splicing at each call site. *)
            let spliced_elsewhere =
-             Dataflow.is_param df ~method_key:key ~var:v
-             && Dataflow.param_producers df ~method_key:key ~var:v <> []
+             Analysis.Dataflow.is_param df ~method_key:key ~var:v
+             && Analysis.Dataflow.param_producers df ~method_key:key ~var:v <> []
            in
            match List.rev !evs with
            | [] -> None
@@ -211,8 +211,8 @@ let method_sequences df (meth : Tast.tmeth) =
   var_seqs @ List.rev !anon
 
 let sequences df =
-  let prog = Dataflow.program df in
+  let prog = Analysis.Dataflow.program df in
   List.concat_map (method_sequences df) prog.Tast.methods
 
 let of_dataflow ?min_evidence df = Protocol.learn ?min_evidence (sequences df)
-let mine ?min_evidence prog = of_dataflow ?min_evidence (Dataflow.build prog)
+let mine ?min_evidence prog = of_dataflow ?min_evidence (Analysis.Dataflow.build prog)

@@ -1,7 +1,7 @@
 (** Protocol miner: reconstructs per-receiver call sequences from the
     corpus and learns the typestate model ([Analysis.Protocol]).
 
-    Reconstruction rides on the same [Dataflow] indexes as the jungloid
+    Reconstruction rides on the same [Analysis.Dataflow] indexes as the jungloid
     slicer — receiver-tracked (one sequence per local/parameter receiver,
     plus anonymous sequences for inline receiver chains like
     [a.b().c()]), interprocedural through corpus calls (a variable passed

@@ -212,9 +212,13 @@ let apilint_graph_rules () =
   Graph.add_edge g2 ~src:b2 (Elem.Widen { from_ = r "p.B"; to_ = r "p.A" }) ~dst:a2;
   let ds2 = Apilint.lint_graph h g2 in
   check_bool "A011 fires" true (has_code "A011" ds2);
-  (* A012 is defensive: [Graph.add_edge] already drops exact duplicates, so
-     the duplicate add above must leave the graph (and the lint) quiet. *)
+  (* [Graph.add_edge] drops exact duplicates, so the duplicate add above
+     must leave the graph (and the lint) quiet; only a duplicate appended
+     past the check — a broken build — trips A012. *)
   check_bool "A012 stays quiet through add_edge" false (has_code "A012" ds2);
+  Graph.append_edge g2 ~src:b2 (Elem.Widen { from_ = r "p.B"; to_ = r "p.A" }) ~dst:a2;
+  check_bool "A012 fires on an appended duplicate" true
+    (has_code "A012" (Apilint.lint_graph h g2));
   (* A014: edge whose endpoints disagree with its elementary jungloid *)
   let g3 = Graph.create () in
   let a3 = Graph.ensure_type_node g3 (r "p.A") in
@@ -398,7 +402,7 @@ let extract_lint_gate () =
     |}
   in
   let prog = Minijava.Resolve.parse_program ~api [ ("gate.java", src) ] in
-  let df = Mining.Dataflow.build prog in
+  let df = Analysis.Dataflow.build prog in
   let contains ~sub s =
     let n = String.length sub and m = String.length s in
     let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -650,7 +654,7 @@ let protomine_api () =
 let mine_sequences src =
   let api = protomine_api () in
   let prog = Minijava.Resolve.parse_program ~api [ ("t.java", src) ] in
-  Mining.Protomine.sequences (Mining.Dataflow.build prog)
+  Mining.Protomine.sequences (Analysis.Dataflow.build prog)
 
 let iter_seqs seqs =
   List.filter (fun (s : Protocol.sequence) -> s.Protocol.seq_type = "q.Iter") seqs
@@ -779,7 +783,7 @@ let prop_extracted_examples_sound =
     (fun branches ->
       let h, sources = Corpusgen.Workload.branchy_corpus ~branches in
       let prog = Minijava.Resolve.parse_program ~api:h sources in
-      let df = Mining.Dataflow.build prog in
+      let df = Analysis.Dataflow.build prog in
       let exs = Mining.Extract.extract df in
       List.for_all (Mining.Extract.example_well_typed h) exs)
 

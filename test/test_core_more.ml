@@ -181,7 +181,7 @@ let test_legacy_string_cast_not_overgeneralized () =
      propertyNames() step (it conflicts with the ZipEntry cast through the
      shared nextElement elem). *)
   let prog = Apidata.Api.program () in
-  let df = Mining.Dataflow.build prog in
+  let df = Analysis.Dataflow.build prog in
   let examples = Mining.Generalize.run (Mining.Extract.extract df) in
   let string_casts =
     List.filter

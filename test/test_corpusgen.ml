@@ -144,7 +144,7 @@ let test_truth_flow_sensitivity_gap () =
 let test_branchy_corpus_extracts () =
   let h, corpus = Corpusgen.Workload.branchy_corpus ~branches:8 in
   let prog = Minijava.Resolve.parse_program ~api:h corpus in
-  let df = Mining.Dataflow.build prog in
+  let df = Analysis.Dataflow.build prog in
   check_int "eight examples" 8 (List.length (Mining.Extract.extract df));
   check_bool "cap binds" true
     (List.length (Mining.Extract.extract ~max_per_cast:2 df) <= 2)

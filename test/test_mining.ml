@@ -58,20 +58,20 @@ let figure4_corpus =
 let debug_program () =
   Minijava.Resolve.parse_program ~api:(debug_api ()) [ ("fig4.java", figure4_corpus) ]
 
-let df () = Mining.Dataflow.build (debug_program ())
+let df () = Analysis.Dataflow.build (debug_program ())
 
 (* ---------- Dataflow ---------- *)
 
 let test_dataflow_casts_found () =
-  check_int "three casts" 3 (List.length (Mining.Dataflow.casts (df ())))
+  check_int "three casts" 3 (List.length (Analysis.Dataflow.casts (df ())))
 
 let test_dataflow_var_producers () =
   let d = df () in
   let key = "corpus.GetContext.getObjectContext/0" in
   check_int "page has one producer" 1
-    (List.length (Mining.Dataflow.var_producers d ~method_key:key ~var:"page"));
+    (List.length (Analysis.Dataflow.var_producers d ~method_key:key ~var:"page"));
   check_int "unknown var has none" 0
-    (List.length (Mining.Dataflow.var_producers d ~method_key:key ~var:"nope"))
+    (List.length (Analysis.Dataflow.var_producers d ~method_key:key ~var:"nope"))
 
 let test_dataflow_param_wiring () =
   let api = debug_api () in
@@ -90,9 +90,9 @@ let test_dataflow_param_wiring () =
           |} );
       ]
   in
-  let d = Mining.Dataflow.build p in
+  let d = Analysis.Dataflow.build p in
   let producers =
-    Mining.Dataflow.param_producers d ~method_key:"corpus.A.viewerOf/1" ~var:"v"
+    Analysis.Dataflow.param_producers d ~method_key:"corpus.A.viewerOf/1" ~var:"v"
   in
   check_int "argument wired to param" 1 (List.length producers)
 
@@ -158,7 +158,7 @@ let test_extract_cap () =
   done;
   Buffer.add_string buf "    Special sp = (Special) o;\n  }\n}\n";
   let p = Minijava.Resolve.parse_program ~api [ ("c.java", Buffer.contents buf) ] in
-  let d = Mining.Dataflow.build p in
+  let d = Analysis.Dataflow.build p in
   let all = Mining.Extract.extract d in
   check_int "ten examples uncapped" 10 (List.length all);
   let capped = Mining.Extract.extract ~max_per_cast:3 d in
@@ -194,7 +194,7 @@ let test_extract_inlines_client_methods () =
           |} );
       ]
   in
-  let d = Mining.Dataflow.build p in
+  let d = Analysis.Dataflow.build p in
   let examples = Mining.Extract.extract d in
   check_int "one example" 1 (List.length examples);
   let ex = List.hd examples in
@@ -218,7 +218,7 @@ let test_extract_null_produces_nothing () =
           "package corpus; class C { void f() { A a = null; B b = (B) a; } }" );
       ]
   in
-  let d = Mining.Dataflow.build p in
+  let d = Analysis.Dataflow.build p in
   check_int "no examples from null" 0 (List.length (Mining.Extract.extract d))
 
 let test_extract_through_client_field () =
@@ -242,7 +242,7 @@ let test_extract_through_client_field () =
           |} );
       ]
   in
-  let df = Mining.Dataflow.build prog in
+  let df = Analysis.Dataflow.build prog in
   let examples = Mining.Extract.extract df in
   check_int "one example" 1 (List.length examples);
   let ex = List.hd examples in
@@ -275,7 +275,7 @@ let test_extract_through_while_loop () =
           |} );
       ]
   in
-  let df = Mining.Dataflow.build prog in
+  let df = Analysis.Dataflow.build prog in
   let examples = Mining.Extract.extract df in
   check_int "one example from inside the loop" 1 (List.length examples);
   check_bool "void input (full chain from Source.open)" true

@@ -182,7 +182,7 @@ let test_mining_deterministic () =
   let prog =
     Minijava.Resolve.parse_program ~api:hierarchy Apidata.Api.corpus_sources
   in
-  let df = Mining.Dataflow.build prog in
+  let df = Analysis.Dataflow.build prog in
   let seq = Mining.Extract.extract df in
   let par = Mining.Extract.extract ~pool:(Pool.create ~jobs:4) df in
   check_bool "corpus has examples" true (seq <> []);

@@ -216,7 +216,7 @@ let extract_of t =
     Minijava.Resolve.parse_program ~api:t.Corpusgen.Truthgen.hierarchy
       t.Corpusgen.Truthgen.corpus
   in
-  (prog, Mining.Extract.extract (Mining.Dataflow.build prog))
+  (prog, Mining.Extract.extract (Analysis.Dataflow.build prog))
 
 let prop_extracted_well_typed =
   QCheck2.Test.make ~name:"extracted examples are well-typed jungloids" ~count:30
@@ -255,7 +255,7 @@ let prop_cap_respected =
     (fun (cap, branches) ->
       let h, corpus = Corpusgen.Workload.branchy_corpus ~branches in
       let prog = Minijava.Resolve.parse_program ~api:h corpus in
-      let df = Mining.Dataflow.build prog in
+      let df = Analysis.Dataflow.build prog in
       let examples = Mining.Extract.extract ~max_per_cast:cap df in
       List.length examples <= cap)
 
@@ -294,7 +294,7 @@ let prop_progen_pipeline_robust =
     ~name:"random corpora resolve, mine, generalize, and enrich without error"
     ~count:25 progen_world (fun (h, corpus) ->
       let prog = Minijava.Resolve.parse_program ~api:h corpus in
-      let df = Mining.Dataflow.build prog in
+      let df = Analysis.Dataflow.build prog in
       let examples = Mining.Extract.extract df in
       let gen = Mining.Generalize.run examples in
       let g = Prospector.Sig_graph.build h in
