@@ -102,28 +102,45 @@ let section_perf () =
     time_of (fun () -> Mining.Enrich.enrich graph (Apidata.Api.program ()))
   in
   Printf.printf "corpus mining + enrichment:              %.4f s\n" mine_t;
-  (* the paper's on-disk graph: 8 MB, loaded in 1.5 s *)
-  let path = Filename.temp_file "prospector" ".graph" in
-  let save_t, size = time_of (fun () -> Prospector.Serialize.save graph path) in
-  let load_graph_t, _ = time_of (fun () -> Prospector.Serialize.load path) in
+  (* the paper's on-disk graph: 8 MB, loaded in 1.5 s — here the snapshot
+     and reach-index pair a server persists, loaded the way it starts *)
+  let frozen = Prospector.Graph.freeze graph in
+  let path = Filename.temp_file "prospector" ".froz" in
+  let save_t, (size, reach_size) =
+    time_of (fun () ->
+        ( Prospector.Serialize.save_frozen frozen path,
+          Prospector.Serialize.save_reach
+            (Prospector.Reach.build_frozen frozen)
+            (path ^ ".reach") ))
+  in
+  let load_graph_t, _ =
+    time_of (fun () ->
+        ( Prospector.Serialize.load_frozen path,
+          Prospector.Serialize.load_reach_result (path ^ ".reach") ))
+  in
   Sys.remove path;
-  Printf.printf "graph on disk: %d KiB, saved in %.4f s, loaded in %.4f s (paper: 8 MB, 1.5 s)\n"
-    (size / 1024) save_t load_graph_t;
+  Sys.remove (path ^ ".reach");
+  Printf.printf
+    "graph on disk: %d+%d KiB (snapshot + reach index), saved in %.4f s, loaded \
+     in %.4f s (paper: 8 MB, 1.5 s)\n"
+    (size / 1024) (reach_size / 1024) save_t load_graph_t;
   Printf.printf "\n%s\n" (Stats.to_string (Stats.of_graph graph));
   let times_curated =
     List.map
       (fun (p : Problems.t) ->
         fst
           (time_of (fun () ->
-               Query.run ~graph ~hierarchy (Query.query p.Problems.tin p.Problems.tout))))
+               Query.run ~frozen ~hierarchy (Query.query p.Problems.tin p.Problems.tout))))
       Problems.all
   in
   let synth_h = Corpusgen.Workload.scaling_api ~classes:2000 in
   let synth_build_t, synth_g = time_of (fun () -> Sig_graph.build synth_h) in
   let qs = Corpusgen.Workload.random_queries synth_h synth_g ~count:40 ~seed:9 in
+  let synth_frozen = Prospector.Graph.freeze synth_g in
   let times_synth =
     List.map
-      (fun q -> fst (time_of (fun () -> Query.run ~graph:synth_g ~hierarchy:synth_h q)))
+      (fun q ->
+        fst (time_of (fun () -> Query.run ~frozen:synth_frozen ~hierarchy:synth_h q)))
       qs
   in
   let all_times = times_curated @ times_synth in
@@ -156,8 +173,9 @@ let section_scaling () =
       let h = Corpusgen.Workload.scaling_api ~classes in
       let build_t, g = time_of (fun () -> Sig_graph.build h) in
       let qs = Corpusgen.Workload.random_queries h g ~count:20 ~seed:17 in
+      let frozen = Prospector.Graph.freeze g in
       let times =
-        List.map (fun q -> fst (time_of (fun () -> Query.run ~graph:g ~hierarchy:h q))) qs
+        List.map (fun q -> fst (time_of (fun () -> Query.run ~frozen ~hierarchy:h q))) qs
       in
       let s = Stats.of_graph g in
       Printf.printf "%-10d %-10d %-10d %-14.4f %-14.5f\n" classes s.Stats.nodes
@@ -265,7 +283,9 @@ let section_figures () =
       ( Prospector.Graph.find_type_node g spurious_q.Query.tin,
         Prospector.Graph.find_type_node g spurious_q.Query.tout )
     with
-    | Some src, Some dst -> Prospector.Search.shortest_cost g ~sources:[ src ] ~target:dst
+    | Some src, Some dst ->
+        Prospector.Search.Csr.shortest_cost (Prospector.Graph.freeze g) ~sources:[ src ]
+          ~target:dst
     | _ -> None
   in
   Printf.printf
@@ -463,12 +483,13 @@ let section_cache () =
   in
   let nq = List.length qs in
   (* Reachability pruning, measured without any caching. *)
+  let frozen = Prospector.Graph.freeze graph in
   let base_t, baseline =
-    time_of (fun () -> List.map (fun q -> Query.run ~graph ~hierarchy q) qs)
+    time_of (fun () -> List.map (fun q -> Query.run ~frozen ~hierarchy q) qs)
   in
-  let build_t, reach = time_of (fun () -> Prospector.Reach.build graph) in
+  let build_t, reach = time_of (fun () -> Prospector.Reach.build_frozen frozen) in
   let pruned_t, pruned =
-    time_of (fun () -> List.map (fun q -> Query.run ~reach ~graph ~hierarchy q) qs)
+    time_of (fun () -> List.map (fun q -> Query.run ~reach ~frozen ~hierarchy q) qs)
   in
   let n_nodes = Prospector.Reach.node_count reach in
   let cone_fractions =
@@ -499,15 +520,18 @@ let section_cache () =
   let synth_h = Corpusgen.Workload.layered_api ~classes:2000 in
   let synth_g = Sig_graph.build synth_h in
   let synth_qs = Corpusgen.Workload.random_queries synth_h synth_g ~count:40 ~seed:23 in
+  let synth_fz = Prospector.Graph.freeze synth_g in
   let sbase_t, sbase =
     time_of (fun () ->
-        List.map (fun q -> Query.run ~graph:synth_g ~hierarchy:synth_h q) synth_qs)
+        List.map (fun q -> Query.run ~frozen:synth_fz ~hierarchy:synth_h q) synth_qs)
   in
-  let sbuild_t, synth_reach = time_of (fun () -> Prospector.Reach.build synth_g) in
+  let sbuild_t, synth_reach =
+    time_of (fun () -> Prospector.Reach.build_frozen synth_fz)
+  in
   let spruned_t, spruned =
     time_of (fun () ->
         List.map
-          (fun q -> Query.run ~reach:synth_reach ~graph:synth_g ~hierarchy:synth_h q)
+          (fun q -> Query.run ~reach:synth_reach ~frozen:synth_fz ~hierarchy:synth_h q)
           synth_qs)
   in
   let sn = Prospector.Reach.node_count synth_reach in
@@ -537,12 +561,12 @@ let section_cache () =
   let miss_qs = Corpusgen.Workload.random_misses synth_g ~count:40 ~seed:29 in
   let mbase_t, mbase =
     time_of (fun () ->
-        List.map (fun q -> Query.run ~graph:synth_g ~hierarchy:synth_h q) miss_qs)
+        List.map (fun q -> Query.run ~frozen:synth_fz ~hierarchy:synth_h q) miss_qs)
   in
   let mpruned_t, mpruned =
     time_of (fun () ->
         List.map
-          (fun q -> Query.run ~reach:synth_reach ~graph:synth_g ~hierarchy:synth_h q)
+          (fun q -> Query.run ~reach:synth_reach ~frozen:synth_fz ~hierarchy:synth_h q)
           miss_qs)
   in
   Printf.printf "unsolvable queries (%d), O(1) rejection:\n" (List.length miss_qs);
@@ -634,10 +658,11 @@ let section_analysis () =
         done;
         !last)
   in
-  let plain_t, plain = run_passes (fun q -> Query.run ~graph ~hierarchy q) in
+  let frozen = Prospector.Graph.freeze graph in
+  let plain_t, plain = run_passes (fun q -> Query.run ~frozen ~hierarchy q) in
   let v = Query.verifier (Analysis.Verify.sound hierarchy) in
   let verified_t, verified =
-    run_passes (fun q -> Query.run ~verify:v ~graph ~hierarchy q)
+    run_passes (fun q -> Query.run ~verify:v ~frozen ~hierarchy q)
   in
   let per_q t = t *. 1000.0 /. float_of_int (passes * nq) in
   Printf.printf "Table 1 workload (%d queries, %d passes):\n" nq passes;
@@ -848,33 +873,22 @@ let section_parallel () =
   let cores = Domain.recommended_domain_count () in
   Printf.printf "host: %d recommended domain(s)%s\n" cores
     (if cores = 1 then " — expect no parallel speedup on this machine" else "");
-  (* CSR frozen view vs the adjacency-list graph, uncached and unpruned,
-     over a synthetic workload large enough for the search to dominate. *)
+  (* The sequential CSR baseline, uncached and unpruned, over a synthetic
+     workload large enough for the search to dominate. *)
   let h = Corpusgen.Workload.layered_api ~classes:2000 in
   let g = Sig_graph.build h in
   let qs = Corpusgen.Workload.random_queries h g ~count:40 ~seed:31 in
   let nq = List.length qs in
   let passes = 3 in
-  let run_passes f =
-    time_of (fun () ->
-        let last = ref [] in
-        for _ = 1 to passes do
-          last := List.map f qs
-        done;
-        !last)
-  in
-  let list_t, list_rs = run_passes (fun q -> Query.run ~graph:g ~hierarchy:h q) in
   let freeze_t, frozen = time_of (fun () -> Prospector.Graph.freeze g) in
-  let csr_t, csr_rs =
-    run_passes (fun q -> Query.run ~frozen ~graph:g ~hierarchy:h q)
+  let csr_t, _ =
+    time_of (fun () ->
+        for _ = 1 to passes do
+          ignore (List.map (fun q -> Query.run ~frozen ~hierarchy:h q) qs)
+        done)
   in
-  let csr_identical = list_rs = csr_rs in
-  Printf.printf
-    "CSR vs adjacency list (%d queries x %d passes, uncached):\n" nq passes;
-  Printf.printf
-    "  list: %.4f s    csr: %.4f s    speedup %.2fx (freeze cost %.4f s)\n"
-    list_t csr_t (list_t /. csr_t) freeze_t;
-  Printf.printf "  csr results identical to list: %b\n" csr_identical;
+  Printf.printf "CSR search (%d queries x %d passes, uncached):\n" nq passes;
+  Printf.printf "  csr: %.4f s (freeze cost %.4f s)\n" csr_t freeze_t;
   (* Batch fan-out at 1/2/4 domains: a fresh engine per job count so every
      run pays the same cold misses; the reach-index build inside the first
      batch uses the same pool. *)
@@ -924,11 +938,8 @@ let section_parallel () =
       \  \"csr\": {\n\
       \    \"queries\": %d,\n\
       \    \"passes\": %d,\n\
-      \    \"list_s\": %.6f,\n\
       \    \"csr_s\": %.6f,\n\
-      \    \"speedup\": %.3f,\n\
-      \    \"freeze_s\": %.6f,\n\
-      \    \"identical\": %b\n\
+      \    \"freeze_s\": %.6f\n\
       \  },\n\
       \  \"batch\": {\n\
       \    \"jobs1_s\": %.6f,\n\
@@ -944,8 +955,8 @@ let section_parallel () =
       \    \"identical\": %b\n\
       \  }\n\
        }\n"
-      cores nq passes list_t csr_t (list_t /. csr_t) freeze_t csr_identical
-      b1_t b2_t b4_t (b1_t /. b4_t) batch_identical m1_t m4_t (m1_t /. m4_t)
+      cores nq passes csr_t freeze_t b1_t b2_t b4_t (b1_t /. b4_t) batch_identical
+      m1_t m4_t (m1_t /. m4_t)
       mining_identical
   in
   write_bench ~model_methods:(hier_methods h) "BENCH_parallel.json" json
@@ -974,7 +985,7 @@ let section_topk () =
         for _ = 1 to passes do
           last :=
             List.map
-              (fun q -> Query.run_info ~settings ~frozen ~graph:g ~hierarchy:h q)
+              (fun q -> Query.run_info ~settings ~frozen ~hierarchy:h q)
               qs
         done;
         !last)
@@ -1078,14 +1089,14 @@ let section_refine () =
     int_of_float (ceil (log (float_of_int (max 1 k)) /. log 2.0)) + 2
   in
   (* -- Table 1 ------------------------------------------------------ *)
-  let graph = Apidata.Api.default_graph () in
+  let frozen = Prospector.Graph.freeze (Apidata.Api.default_graph ()) in
   let hierarchy = Apidata.Api.hierarchy () in
   let failed = ref false in
   let table1_rows =
     List.filter_map
       (fun (p : Problems.t) ->
         let results =
-          Query.run ~graph ~hierarchy (Query.query p.Problems.tin p.Problems.tout)
+          Query.run ~frozen ~hierarchy (Query.query p.Problems.tin p.Problems.tout)
         in
         match run_session results with
         | None -> None
@@ -1105,9 +1116,10 @@ let section_refine () =
   let h = Corpusgen.Workload.layered_api ~classes:500 in
   let g = Sig_graph.build h in
   let qs = Corpusgen.Workload.random_queries h g ~count:20 ~seed:7 in
+  let frozen = Prospector.Graph.freeze g in
   let layered =
     List.filter_map
-      (fun q -> run_session (Query.run ~graph:g ~hierarchy:h q))
+      (fun q -> run_session (Query.run ~frozen ~hierarchy:h q))
       qs
   in
   let layered_sessions = List.length layered in
@@ -1249,6 +1261,7 @@ let section_rank () =
       tg prog
   in
   let t_cost = Mining.Usage.edge_cost !usage in
+  let tg_frozen = Prospector.Graph.freeze ~wcost:t_cost tg in
   let t_settings = { Query.default_settings with slack = 2 } in
   let known_rank i results =
     (* the ground-truth answer: reach producer i's lookup and downcast its
@@ -1277,7 +1290,7 @@ let section_rank () =
     go 1 results
   in
   let run_producer ~settings ?edge_cost i =
-    Query.run ~settings ?edge_cost ~graph:tg
+    Query.run ~settings ?edge_cost ~frozen:tg_frozen
       ~hierarchy:t.Corpusgen.Truthgen.hierarchy
       (Query.query Corpusgen.Truthgen.registry (Corpusgen.Truthgen.model i))
   in
@@ -1404,12 +1417,13 @@ let section_proto () =
   (* -- query overhead at Warn, and the equivalence gates ------------- *)
   let protocol_check j = Analysis.Protolint.violations model j in
   let passes = 5 in
+  let frozen = Prospector.Graph.freeze graph in
   let run_all ~protocol ~strategy () =
     List.map
       (fun (p : Problems.t) ->
         Query.run
           ~settings:{ Query.default_settings with protocol; strategy }
-          ~protocol_check ~graph ~hierarchy
+          ~protocol_check ~frozen ~hierarchy
           (Query.query p.Problems.tin p.Problems.tout))
       Problems.all
   in
@@ -1509,7 +1523,7 @@ let section_micro () =
   rule "Micro-benchmarks (Bechamel)";
   let open Bechamel in
   let hierarchy = Apidata.Api.hierarchy () in
-  let graph = Apidata.Api.default_graph () in
+  let frozen = Prospector.Graph.freeze (Apidata.Api.default_graph ()) in
   let prog = Apidata.Api.program () in
   let df = Analysis.Dataflow.build prog in
   let examples = Mining.Extract.extract df in
@@ -1525,14 +1539,14 @@ let section_micro () =
       Test.make ~name:"query_table1_row1"
         (Staged.stage (fun () ->
              ignore
-               (Query.run ~graph ~hierarchy
+               (Query.run ~frozen ~hierarchy
                   (Query.query "java.io.InputStream" "java.io.BufferedReader"))));
       Test.make ~name:"query_parsing_example"
-        (Staged.stage (fun () -> ignore (Query.run ~graph ~hierarchy parse_q)));
+        (Staged.stage (fun () -> ignore (Query.run ~frozen ~hierarchy parse_q)));
       Test.make ~name:"assist_multi_source"
         (Staged.stage (fun () ->
              ignore
-               (Query.run_multi ~graph ~hierarchy
+               (Query.run_multi ~frozen ~hierarchy
                   ~vars:
                     [
                       ("ep", Javamodel.Jtype.ref_of_string "org.eclipse.ui.IEditorPart");
@@ -1570,8 +1584,7 @@ let section_micro () =
 (* ------------------------------------------------------------------ *)
 
 (* Gates `make check` at reduced sizes (10k/100k): a shard or mmap identity
-   divergence, or a CSR slowdown at >= 100k methods, exits nonzero. The
-   full million-method row is opt-in:
+   divergence exits nonzero. The full million-method row is opt-in:
 
      BENCH_SCALE_SIZES=10000,100000,1000000 dune exec bench/main.exe -- scale
 
@@ -1636,24 +1649,12 @@ let section_scale () =
     let nq = List.length qs in
     Printf.printf "  reach index: %.2f s; %d solvable queries sampled\n%!"
       reach_t nq;
-    (* The flat CSR kernels vs the adjacency-list interpreter: the per-query
-       search kernels (backward 0-1 BFS to the target, forward BFS from the
-       source), repeated until the measurement is search-bound. End-to-end
-       latency is enumeration-bound — the arena explores the same path set
-       either way — so it is reported separately below and only checked for
-       identity; the kernel ratio is what the flat lanes buy. *)
+    (* The per-query search kernels (backward 0-1 BFS to the target,
+       forward BFS from the source), repeated until the measurement is
+       search-bound; end-to-end latency is enumeration-bound and reported
+       separately below. *)
     let module S = Prospector.Search in
     let passes = max 2 (4_000_000 / ((edges * nq) + 1)) in
-    let kern_list_t, _ =
-      time_of (fun () ->
-          for _ = 1 to passes do
-            List.iter
-              (fun (si, di) ->
-                ignore (S.distances_to g ~target:di : int array);
-                ignore (S.distances_from g ~sources:[ si ] : int array))
-              pairs
-          done)
-    in
     let scratch = S.Scratch.create () in
     let kern_csr_t, _ =
       time_of (fun () ->
@@ -1669,23 +1670,11 @@ let section_scale () =
               pairs
           done)
     in
-    let csr_speedup = kern_list_t /. kern_csr_t in
-    Printf.printf
-      "  search kernels (%d passes): csr %.3f s vs list %.3f s — %.2fx\n%!"
-      passes kern_csr_t kern_list_t csr_speedup;
-    if methods >= 100_000 && csr_speedup < 1.0 then failed := true;
-    let list_t, list_rs =
-      time_of (fun () ->
-          List.map (fun q -> Query.run ~graph:g ~hierarchy:h q) qs)
-    in
+    Printf.printf "  search kernels (%d passes): %.3f s\n%!" passes kern_csr_t;
     let csr_t, csr_rs =
       time_of (fun () -> List.map (fun q -> Query.run ~frozen ~hierarchy:h q) qs)
     in
-    let csr_identical = list_rs = csr_rs in
-    Printf.printf
-      "  end-to-end: csr %.3f s vs list %.3f s (%.2fx), identical %b\n%!"
-      csr_t list_t (list_t /. csr_t) csr_identical;
-    if not csr_identical then failed := true;
+    Printf.printf "  end-to-end: %.3f s\n%!" csr_t;
     (* Package-cone sharding: batch fan-out vs the sequential whole-snapshot
        oracle, byte for byte. *)
     let prune = methods <= 200_000 in
@@ -1704,14 +1693,9 @@ let section_scale () =
        %!"
       batch_t qps shard_count shard_identical;
     if not shard_identical then failed := true;
-    (* Warm start: v2 mmap vs a full v1 deserialize + re-freeze — what a
-       server restart used to cost to reach the same serving state. *)
+    (* Warm start: the snapshot mmapped vs read into the heap. *)
     let froz_path = Filename.temp_file "prospector_scale" ".froz" in
-    let v1_path = Filename.temp_file "prospector_scale" ".graph" in
-    let _, froz_bytes =
-      time_of (fun () -> Prospector.Serialize.save_frozen frozen froz_path)
-    in
-    ignore (Prospector.Serialize.save g v1_path : int);
+    let froz_bytes = Prospector.Serialize.save_frozen frozen froz_path in
     let load_frozen_exn ~mmap =
       match Prospector.Serialize.load_frozen ~mmap froz_path with
       | Ok fz -> fz
@@ -1719,22 +1703,13 @@ let section_scale () =
     in
     let mmap_t, mmap_fz = time_of (fun () -> load_frozen_exn ~mmap:true) in
     let read_t, read_fz = time_of (fun () -> load_frozen_exn ~mmap:false) in
-    let v1_t, _ =
-      time_of (fun () ->
-          Prospector.Graph.freeze (Prospector.Serialize.load v1_path))
-    in
     Sys.remove froz_path;
-    Sys.remove v1_path;
     let run_on fz =
       List.map (fun q -> Query.run ~frozen:fz ~hierarchy:h q) qs
     in
     let mmap_identical = run_on mmap_fz = csr_rs && run_on read_fz = csr_rs in
-    let warm_speedup = v1_t /. mmap_t in
-    Printf.printf
-      "  warm start: mmap %.4f s, raw read %.4f s, v1 deserialize+freeze \
-       %.3f s — %.1fx, identical %b\n\
-       %!"
-      mmap_t read_t v1_t warm_speedup mmap_identical;
+    Printf.printf "  warm start: mmap %.4f s, raw read %.4f s, identical %b\n%!"
+      mmap_t read_t mmap_identical;
     if not mmap_identical then failed := true;
     Printf.sprintf
       "    {\n\
@@ -1747,12 +1722,8 @@ let section_scale () =
       \      \"reach_s\": %.3f,\n\
       \      \"queries\": %d,\n\
       \      \"kernel_passes\": %d,\n\
-      \      \"kernel_list_s\": %.4f,\n\
       \      \"kernel_csr_s\": %.4f,\n\
-      \      \"csr_speedup\": %.3f,\n\
-      \      \"query_list_s\": %.4f,\n\
       \      \"query_csr_s\": %.4f,\n\
-      \      \"csr_identical\": %b,\n\
       \      \"batch_s\": %.4f,\n\
       \      \"queries_per_s\": %.1f,\n\
       \      \"shards\": %d,\n\
@@ -1760,13 +1731,10 @@ let section_scale () =
       \      \"frozen_bytes\": %d,\n\
       \      \"warm_mmap_s\": %.5f,\n\
       \      \"warm_read_s\": %.5f,\n\
-      \      \"v1_deserialize_s\": %.4f,\n\
-      \      \"warm_speedup_vs_v1\": %.2f,\n\
       \      \"mmap_identical\": %b\n\
       \    }"
-      methods nodes edges gen_t build_t freeze_t reach_t nq passes kern_list_t
-      kern_csr_t csr_speedup list_t csr_t csr_identical batch_t qps
-      shard_count shard_identical froz_bytes mmap_t read_t v1_t warm_speedup
+      methods nodes edges gen_t build_t freeze_t reach_t nq passes kern_csr_t
+      csr_t batch_t qps shard_count shard_identical froz_bytes mmap_t read_t
       mmap_identical
   in
   let rows = List.map measure sizes in
@@ -1777,8 +1745,7 @@ let section_scale () =
     json;
   if !failed then begin
     prerr_endline
-      "error: scale gate failed (identity divergence or CSR slowdown at \
-       100k+)";
+      "error: scale gate failed (shard or mmap identity divergence)";
     exit 1
   end
 

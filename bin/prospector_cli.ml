@@ -642,7 +642,7 @@ let batch_cmd =
               (fun q ->
                 ( q,
                   Prospector.Query.run ~settings ~frozen ?edge_cost
-                    ?protocol_check ~graph:env.graph ~hierarchy:env.hierarchy q ))
+                    ?protocol_check ~hierarchy:env.hierarchy q ))
               qs
           else Prospector.Query.run_batch ~settings engine qs
         in
@@ -944,6 +944,8 @@ let lint_cmd =
                   Analysis.Protolint.check model
                     (Mining.Protomine.sequences (Analysis.Dataflow.build prog)))
           | `Query ->
+              let edge_cost = edge_cost_of env in
+              let frozen = Prospector.Graph.freeze ?wcost:edge_cost env.graph in
               List.concat_map
                 (fun spec ->
                   let tin, tout = parse_query_spec spec in
@@ -951,8 +953,7 @@ let lint_cmd =
                   Prospector.Query.run
                     ~settings:
                       (settings ~max_results ~slack ~strategy ~ranking ~protocol)
-                    ?edge_cost:(edge_cost_of env)
-                    ?protocol_check:(protocol_check_of env) ~graph:env.graph
+                    ?edge_cost ?protocol_check:(protocol_check_of env) ~frozen
                     ~hierarchy:env.hierarchy q
                   |> List.concat_map (fun (r : Prospector.Query.result) ->
                          let j = r.Prospector.Query.jungloid in
@@ -1000,19 +1001,20 @@ module Metrics = Prospector_server.Metrics
 
 let reach_path graph_path = graph_path ^ ".reach"
 
-(* What [serve] builds its engine from: a mutable graph (cold build, or a
-   legacy v1 graph file) or a frozen CSR snapshot (v2 warm start — possibly
-   mmapped, in which case the mutable graph is never materialized). *)
+(* What [serve] builds its engine from: a frozen CSR snapshot, taken once by
+   a cold build or loaded by a warm start (possibly mmapped, in which case
+   the mutable graph is never materialized). *)
 type serve_env = {
   sv_hierarchy : Javamodel.Hierarchy.t;
-  sv_base : [ `Graph of Prospector.Graph.t | `Frozen of Prospector.Graph.frozen ];
+  sv_frozen : Prospector.Graph.frozen;
   sv_usage : Mining.Usage.t option;
   sv_proto : Analysis.Protocol.model option;
   sv_corpus : (string * string) list;
       (* the mined corpus sources, kept so live reload can re-enrich a
          rebuilt graph and re-mine the protocol model; [] when not mining *)
-  sv_built : build_times option;
-      (* a cold build's phases, reported once the engine has frozen it *)
+  sv_built : (build_times * float) option;
+      (* a cold build's phases and freeze time, reported once the engine
+         exists *)
   sv_saved : string option;
       (* a cold build's --save-graph report, printed after its phases *)
 }
@@ -1025,12 +1027,11 @@ let corpus_sources_for ~api ~corpus =
 (* Warm start: when --save-graph names an existing file, load the persisted
    snapshot (and the reach index, if present) instead of rebuilding from
    .japi and re-mining the corpus; on a cache miss, build as usual and
-   persist both files for the next start. A v2 file mmaps straight into the
-   engine; a v1 (Marshal) file still loads as a mutable graph; anything
-   truncated or corrupt degrades to the cold build with a warning and the
-   freshly built snapshot overwrites the bad file. The hierarchy itself is
-   always re-parsed — it is the cheap part, and .japi text is the
-   interchange format. *)
+   persist both files for the next start. The snapshot mmaps straight into
+   the engine; anything foreign, truncated or corrupt degrades to the cold
+   build with a warning and the freshly built snapshot replaces the bad
+   file. The hierarchy itself is always re-parsed — it is the cheap part,
+   and .japi text is the interchange format. *)
 let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
   let remine hierarchy =
     if not mining then (None, None)
@@ -1057,17 +1058,21 @@ let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
   in
   let cold_build () =
     let env = load_env ?pool ~api ~corpus ~mining ~protected_ () in
+    (* One snapshot feeds the reach index, the saved file and the engine.
+       Default cost baking: the engine re-bakes a mined model, exactly as
+       after a warm start. *)
+    let frozen, freeze_s =
+      timed (fun () ->
+          ignore (Prospector.Graph.void_node env.graph);
+          Prospector.Graph.freeze env.graph)
+    in
     let reach, saved =
       match save_graph with
       | None -> (None, None)
       | Some path ->
           let t1 = Unix.gettimeofday () in
-          let r = Prospector.Reach.build env.graph in
-          (* Persist the v2 CSR snapshot (default cost baking — a mined
-             model is re-baked at load time) so the next start mmaps it. *)
-          ignore (Prospector.Graph.void_node env.graph);
-          let fz = Prospector.Graph.freeze env.graph in
-          let gsize = Prospector.Serialize.save_frozen fz path in
+          let r = Prospector.Reach.build_frozen frozen in
+          let gsize = Prospector.Serialize.save_frozen frozen path in
           let rsize = Prospector.Serialize.save_reach r (reach_path path) in
           ( Some r,
             Some
@@ -1079,11 +1084,11 @@ let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
     in
     ( {
         sv_hierarchy = env.hierarchy;
-        sv_base = `Graph env.graph;
+        sv_frozen = frozen;
         sv_usage = env.usage;
         sv_proto = env.proto;
         sv_corpus = (if mining then corpus_sources_for ~api ~corpus else []);
-        sv_built = Some env.times;
+        sv_built = Some (env.times, freeze_s);
         sv_saved = saved;
       },
       reach )
@@ -1096,25 +1101,12 @@ let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
         | files -> Japi.Loader.load_files (List.map (fun f -> (f, read_file f)) files)
       in
       let t0 = Unix.gettimeofday () in
-      let base =
-        match Prospector.Serialize.load_frozen path with
-        | Ok fz -> Some (`Frozen fz)
-        | Error (Prospector.Serialize.Bad_magic _) -> (
-            (* Not a v2 snapshot — maybe a legacy v1 graph file. *)
-            match Prospector.Serialize.load_result path with
-            | Ok g -> Some (`Graph g)
-            | Error e ->
-                Printf.eprintf "warning: ignoring %s: %s — rebuilding\n%!" path
-                  (Prospector.Serialize.error_message e);
-                None)
-        | Error e ->
-            Printf.eprintf "warning: ignoring %s: %s — rebuilding\n%!" path
-              (Prospector.Serialize.error_message e);
-            None
-      in
-      match base with
-      | None -> cold_build ()
-      | Some base ->
+      match Prospector.Serialize.load_frozen path with
+      | Error e ->
+          Printf.eprintf "warning: ignoring %s: %s — rebuilding\n%!" path
+            (Prospector.Serialize.error_message e);
+          cold_build ()
+      | Ok frozen ->
           let reach =
             let rp = reach_path path in
             if Sys.file_exists rp then
@@ -1128,16 +1120,14 @@ let load_env_for_serve ?pool ~api ~corpus ~mining ~protected_ ~save_graph () =
           in
           let dt = Unix.gettimeofday () -. t0 in
           Printf.eprintf
-            "graph: %s from %s in %.3f s (reach index %s) — skipped build + mining\n%!"
-            (match base with
-            | `Frozen _ -> "mmap warm start"
-            | `Graph _ -> "loaded (v1)")
+            "graph: mmap warm start from %s in %.3f s (reach index %s) — skipped \
+             build + mining\n%!"
             path dt
             (match reach with Some _ -> "loaded" | None -> "absent, will rebuild");
           let usage, proto = remine hierarchy in
           ( {
               sv_hierarchy = hierarchy;
-              sv_base = base;
+              sv_frozen = frozen;
               sv_usage = usage;
               sv_proto = proto;
               sv_corpus = (if mining then corpus_sources_for ~api ~corpus else []);
@@ -1252,18 +1242,15 @@ let serve_cmd =
             (fun m j -> Analysis.Protolint.violations m j)
             env.sv_proto
         in
-        let engine, freeze_s =
+        let engine, engine_s =
           timed (fun () ->
-              match env.sv_base with
-              | `Graph graph ->
-                  Prospector.Query.engine ~cache_capacity ?reach ~pool ?edge_cost
-                    ?protocol_check ~graph ~hierarchy:env.sv_hierarchy ()
-              | `Frozen frozen ->
-                  Prospector.Query.engine_of_frozen ~cache_capacity ?reach ~pool
-                    ?edge_cost ?protocol_check ~frozen ~hierarchy:env.sv_hierarchy ())
+              Prospector.Query.engine_of_frozen ~cache_capacity ?reach ~pool
+                ?edge_cost ?protocol_check ~frozen:env.sv_frozen
+                ~hierarchy:env.sv_hierarchy ())
         in
         Option.iter
-          (fun t -> Printf.eprintf "%s\n%!" (built_line t ~freeze_s))
+          (fun (t, freeze_s) ->
+            Printf.eprintf "%s\n%!" (built_line t ~freeze_s:(freeze_s +. engine_s)))
           env.sv_built;
         Option.iter (Printf.eprintf "%s\n%!") env.sv_saved;
         (* ---- live-reload callbacks (DESIGN §9) ----

@@ -30,7 +30,7 @@ type measured = {
 val run_one :
   ?settings:Prospector.Query.settings ->
   ?edge_cost:(Prospector.Elem.t -> int) ->
-  graph:Prospector.Graph.t ->
+  frozen:Prospector.Graph.frozen ->
   hierarchy:Javamodel.Hierarchy.t ->
   t ->
   measured

@@ -46,7 +46,7 @@ val add_edge : t -> src:node -> Elem.t -> dst:node -> unit
     The check uses a table over every edge, built on the graph's first
     [add_edge]. A graph filled only by {!append_edge} — the signature build
     — has none until then, so the first [add_edge] after a build (mined
-    splicing, the v1 loader) pays one O(edges) pass to build it. *)
+    splicing) pays one O(edges) pass to build it. *)
 
 val append_edge : t -> src:node -> Elem.t -> dst:node -> unit
 (** {!add_edge} without the duplicate check: the caller guarantees the edge

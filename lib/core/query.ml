@@ -182,131 +182,34 @@ let protocol_pred ~protocol ~protocol_check =
 let protocol_filter pfilter js =
   match pfilter with None -> js | Some ok -> List.filter ok js
 
-(* A read-only lens over either graph representation. [run]/[run_multi] are
-   written once against it; the [?frozen] path binds every operation to the
-   CSR snapshot, so a query running on a snapshot provably never touches the
-   mutable graph — which is what lets the server answer reads without a lock
-   while another domain mutates and re-freezes. *)
-type view = {
-  v_find : Jtype.t -> Graph.node option;
-  v_void : unit -> Graph.node option;
-  v_of_path : Search.path -> Jungloid.t;
-  v_node_type : Graph.node -> Jtype.t;
-  v_distances_from : Graph.node list -> Search.Dist.t;
-  v_distances_to :
-    cone:Reach.cone option -> target:Graph.node -> Search.Dist.t;
-  v_iter_succs : Graph.node -> (int -> Graph.edge -> unit) -> unit;
-  v_edge_slots : int;  (* total edge count for the CSR memo; 0 = list graph *)
-  (* Weighted (mined-ranking) lens. The frozen variant reads the wcost
-     arrays baked at freeze time and ignores the passed model — the engine
-     freezes with its own model, and manual [?frozen] callers must freeze
-     with the same [~wcost] they query with (documented on [run]). *)
-  v_weighted_distances_to :
-    cone:Reach.cone option ->
-    target:Graph.node ->
-    cost:(Elem.t -> int) ->
-    Search.Dist.t;
-  v_edge_wcost : (Elem.t -> int) -> int -> Graph.edge -> int;
-  v_enumerate :
-    cone:Reach.cone option ->
-    sources:Graph.node list ->
-    target:Graph.node ->
-    slack:int ->
-    limit:int ->
-    truncated:bool ref ->
-    Search.path list;
-  v_enumerate_per_source :
-    cone:Reach.cone option ->
-    sources:Graph.node list ->
-    target:Graph.node ->
-    slack:int ->
-    limit:int ->
-    truncated:bool ref ->
-    Search.path list;
-}
-
-(* The list-graph view keeps the closure-based viability hook: pruning is a
-   cone probe behind a closure, and distance arrays are wrapped unstamped. *)
-let view_of_graph g =
-  let viable_of cone = Option.map Reach.cone_viable cone in
-  {
-    v_find = Graph.find_type_node g;
-    v_void = (fun () -> Some (Graph.void_node g));
-    v_of_path = Jungloid.of_path g;
-    v_node_type = Graph.node_type g;
-    v_distances_from =
-      (fun sources -> Search.Dist.of_array (Search.distances_from g ~sources));
-    v_distances_to =
-      (fun ~cone ~target ->
-        Search.Dist.of_array
-          (Search.distances_to ?viable:(viable_of cone) g ~target));
-    v_iter_succs = (fun u f -> List.iteri f (Graph.succs g u));
-    v_edge_slots = 0;
-    v_weighted_distances_to =
-      (fun ~cone ~target ~cost ->
-        Search.Dist.of_array
-          (Search.weighted_distances_to ?viable:(viable_of cone) g ~target ~cost));
-    v_edge_wcost = (fun cost _ord e -> cost e.Graph.elem);
-    v_enumerate =
-      (fun ~cone ~sources ~target ~slack ~limit ~truncated ->
-        Search.enumerate g ~sources ~target ~slack ~limit
-          ?viable:(viable_of cone) ~truncated ());
-    v_enumerate_per_source =
-      (fun ~cone ~sources ~target ~slack ~limit ~truncated ->
-        Search.enumerate_per_source g ~sources ~target ~slack ~limit
-          ?viable:(viable_of cone) ~truncated ());
-  }
-
-(* The CSR view threads [?scratch] into every sweep: under a
-   [Search.Scratch.with_frame] the distance lanes are recycled per domain,
-   so the steady-state query allocates nothing proportional to the graph.
-   Callers that let distances escape the call (run_stream) build the view
-   without scratch and get escape-safe one-shot lanes. *)
-let view_of_frozen ?scratch fz =
-  {
-    v_find = Graph.frozen_find_type_node fz;
-    v_void = (fun () -> Graph.frozen_void_node fz);
-    v_of_path = Jungloid.of_frozen_path fz;
-    v_node_type = Graph.frozen_node_type fz;
-    v_distances_from =
-      (fun sources -> Search.Csr.distances_from ?scratch fz ~sources);
-    v_distances_to =
-      (fun ~cone ~target -> Search.Csr.distances_to ?scratch ?cone fz ~target);
-    v_iter_succs =
-      (fun u f ->
-        let off = fz.Graph.f_fwd_off and fin = fz.Graph.f_fwd_end in
-        for k = off.{u} to fin.{u} - 1 do
-          f k fz.Graph.f_fwd_edge.(k)
-        done);
-    v_edge_slots = Array.length fz.Graph.f_fwd_edge;
-    v_weighted_distances_to =
-      (fun ~cone ~target ~cost:_ ->
-        Search.Csr.weighted_distances_to ?scratch ?cone fz ~target);
-    v_edge_wcost = (fun _cost ord _e -> fz.Graph.f_fwd_wcost.(ord));
-    v_enumerate =
-      (fun ~cone ~sources ~target ~slack ~limit ~truncated ->
-        Search.Csr.enumerate ?scratch fz ~sources ~target ~slack ~limit ?cone
-          ~truncated ());
-    v_enumerate_per_source =
-      (fun ~cone ~sources ~target ~slack ~limit ~truncated ->
-        Search.Csr.enumerate_per_source ?scratch fz ~sources ~target ~slack
-          ~limit ?cone ~truncated ());
-  }
+(* Every entry point searches one CSR snapshot: the caller's [?frozen], or
+   [?graph] frozen on entry with the effective mined model baked in, so
+   weighted search agrees with the rank layer. Freezing interns nothing:
+   the caller's graph is never mutated, and a graph without a [void] node
+   simply has no void source (an edgeless one would add no paths and no
+   free-variable estimate either). A query on a snapshot never touches the
+   mutable graph — which is what lets the server answer reads without a
+   lock while another domain mutates and re-freezes. *)
+let snapshot ?frozen ?graph ~edge_cost () =
+  match (frozen, graph) with
+  | Some fz, _ -> fz
+  | None, Some g -> Graph.freeze ?wcost:edge_cost g
+  | None, None -> invalid_arg "Query: pass at least one of ?graph / ?frozen"
 
 (* The future-work free-variable estimator: a free variable of type T will
    cost about as much as the cheapest way to conjure a T from nothing (the
    void query the user would run next). Unreachable types keep the constant
    estimate. *)
-let freevar_estimator ~settings view =
+let freevar_estimator ?scratch ~settings fz =
   if not settings.estimate_freevars then None
   else
-    match view.v_void () with
+    match Graph.frozen_void_node fz with
     | None -> Some (fun _ -> settings.weights.Rank.freevar_cost)
     | Some void ->
-        let dist = view.v_distances_from [ void ] in
+        let dist = Search.Csr.distances_from ?scratch fz ~sources:[ void ] in
         Some
           (fun ty ->
-            match view.v_find ty with
+            match Graph.frozen_find_type_node fz ty with
             | Some n ->
                 let d = Search.Dist.get dist n in
                 if d < max_int then max 1 d
@@ -407,8 +310,7 @@ let rank_and_render ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~input_name
            code = Codegen.to_java ?input j;
          })
 
-(* A reach index only prunes when it describes the graph the view reads —
-   for the mutable graph that is its live generation, for a snapshot the
+(* A reach index only prunes when it describes the snapshot searched — the
    generation captured at freeze time. Anything stale (engine callers never
    produce this, manual callers might) is ignored rather than risked. *)
 let current_reach ~gen reach =
@@ -434,12 +336,6 @@ let viable_of ~reach ~target =
           then Some cn
           else None)
 
-let view_and_gen ?scratch ?frozen ?graph () =
-  match (frozen, graph) with
-  | Some fz, _ -> (view_of_frozen ?scratch fz, Graph.frozen_generation fz)
-  | None, Some g -> (view_of_graph g, Graph.generation g)
-  | None, None -> invalid_arg "Query: pass at least one of ?graph / ?frozen"
-
 (* Per-query execution report: how many candidates the search materialized
    into jungloids (the laziness metric) and whether it stopped at
    [settings.limit] — the signal the CLI and server surface so a clipped
@@ -453,27 +349,32 @@ type info = {
 let no_info = { candidates = 0; truncated = false; warnings = [] }
 
 (* The best-first generator for one query shape, positioned exactly where
-   [v_enumerate] sits in the exhaustive pipeline. [sources] carries the
-   per-source budget (shortest-cost-from-that-source + slack). With an
+   [Search.Csr.enumerate] sits in the exhaustive pipeline. [sources] carries
+   the per-source budget (shortest-cost-from-that-source + slack). With an
    [edge_cost] model the stream runs in weighted mode: priorities use the
-   exact weighted distances while the budget prune stays on the paper
-   [dist_to], so the candidate set is unchanged and only the certified
-   order follows the mined costs. *)
-let topk_stream ?memo ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~cone
-    view ~dist_to ~sources ~target =
+   exact weighted distances (over the snapshot's baked costs) while the
+   budget prune stays on the paper [dist_to], so the candidate set is
+   unchanged and only the certified order follows the mined costs. *)
+let topk_stream ?memo ?scratch ~settings ~hierarchy ~freevar_cost_of ?edge_cost
+    ?cone fz ~dist_to ~sources ~target =
   let weighted =
     Option.map
-      (fun cost ->
+      (fun _ ->
         {
-          Topk.wdist_to = view.v_weighted_distances_to ~cone ~target ~cost;
-          edge_wcost = view.v_edge_wcost cost;
+          Topk.wdist_to = Search.Csr.weighted_distances_to ?scratch ?cone fz ~target;
+          edge_wcost = (fun ord _ -> fz.Graph.f_fwd_wcost.(ord));
         })
       edge_cost
   in
   Topk.start ?freevar_cost_of ?weighted ?memo ~weights:settings.weights
-    ~hierarchy ~node_type:view.v_node_type ~iter_succs:view.v_iter_succs
-    ~edge_slots:view.v_edge_slots ~materialize:view.v_of_path ~dist_to ~sources
-    ~target ~limit:settings.limit ()
+    ~hierarchy ~node_type:(Graph.frozen_node_type fz)
+    ~iter_succs:(fun u f ->
+      for k = fz.Graph.f_fwd_off.{u} to fz.Graph.f_fwd_end.{u} - 1 do
+        f k fz.Graph.f_fwd_edge.(k)
+      done)
+    ~edge_slots:(Array.length fz.Graph.f_fwd_edge)
+    ~materialize:(Jungloid.of_frozen_path fz) ~dist_to ~sources ~target
+    ~limit:settings.limit ()
 
 (* Consume a certified-order candidate stream for the single-source query:
    the expression-level dedup subsumes the exhaustive pipeline's structural
@@ -536,89 +437,84 @@ let consume_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
 
 let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
     ?protocol_check ?graph ~hierarchy q =
-  (* Consume-within-call entry point: distance lanes come from the domain's
-     scratch pool (released when the frame below ends — nothing in a
-     [result] refers to them) and the Topk per-edge memo is reused across
-     queries on this domain. *)
-  let scratch =
-    match frozen with Some _ -> Some (Search.Scratch.domain ()) | None -> None
-  in
   let strategy, edge_cost, protocol, warnings =
     effective_mode ~edge_cost ~protocol_check settings
   in
+  let fz = snapshot ?frozen ?graph ~edge_cost () in
   let pfilter = protocol_pred ~protocol ~protocol_check in
   let no_info = { no_info with warnings } in
-  let body () =
-  let view, gen = view_and_gen ?scratch ?frozen ?graph () in
-  match (view.v_find q.tin, view.v_find q.tout) with
-  | Some src, Some dst ->
-      let reach = current_reach ~gen reach in
-      let cone = viable_of ~reach ~target:dst in
-      if match reach with Some r -> not (Reach.mem r ~src ~target:dst) | None -> false
-      then begin
-        Log.debug (fun m ->
-            m "query (%s, %s): pruned — tin can never reach tout"
-              (Jtype.to_string q.tin) (Jtype.to_string q.tout));
-        ([], no_info)
-      end
-      else begin
-        let freevar_cost_of = freevar_estimator ~settings view in
-        match strategy with
-        | Exhaustive ->
-            let truncated = ref false in
-            let paths =
-              view.v_enumerate ~cone ~sources:[ src ] ~target:dst
-                ~slack:settings.slack ~limit:settings.limit ~truncated
-            in
-            Log.debug (fun m ->
-                m "query (%s, %s): %d paths enumerated" (Jtype.to_string q.tin)
-                  (Jtype.to_string q.tout) (List.length paths));
-            ( rank_and_render ~settings ~hierarchy ~freevar_cost_of ?edge_cost
-                ~input_name:(fun _ -> None)
-                ~verify ~pfilter view.v_of_path paths,
-              { candidates = List.length paths; truncated = !truncated; warnings } )
-        | BestFirst ->
-            let dist_to = view.v_distances_to ~cone ~target:dst in
-            let dsrc = Search.Dist.get dist_to src in
-            if dsrc = max_int then begin
-              Log.debug (fun m ->
-                  m "query (%s, %s): no path" (Jtype.to_string q.tin)
-                    (Jtype.to_string q.tout));
-              ([], no_info)
-            end
-            else begin
-              let st =
-                topk_stream ~memo:(Topk.Memo.domain ()) ~settings ~hierarchy
-                  ~freevar_cost_of ?edge_cost ~cone view ~dist_to
-                  ~sources:[ (src, dsrc + settings.slack) ]
-                  ~target:dst
-              in
-              let results =
-                consume_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost
-                  ~verify ~pfilter st
-              in
-              Log.debug (fun m ->
-                  m "query (%s, %s): %d candidates materialized (best-first)"
-                    (Jtype.to_string q.tin) (Jtype.to_string q.tout)
-                    (Topk.materialized st));
-              ( results,
-                {
-                  candidates = Topk.materialized st;
-                  truncated = Topk.truncated st;
-                  warnings;
-                } )
-            end
-      end
-  | _ ->
-      Log.debug (fun m ->
-          m "query (%s, %s): type not in graph" (Jtype.to_string q.tin)
-            (Jtype.to_string q.tout));
-      ([], no_info)
-  in
+  (* Consume-within-call entry point: distance lanes come from the domain's
+     scratch pool (released when the frame ends — nothing in a [result]
+     refers to them) and the Topk per-edge memo is reused across queries on
+     this domain. *)
+  let scratch = Search.Scratch.domain () in
   let results, info =
-    match scratch with
-    | Some s -> Search.Scratch.with_frame s body
-    | None -> body ()
+    Search.Scratch.with_frame scratch @@ fun () ->
+    let find = Graph.frozen_find_type_node fz in
+    match (find q.tin, find q.tout) with
+    | Some src, Some dst ->
+        let reach = current_reach ~gen:(Graph.frozen_generation fz) reach in
+        let cone = viable_of ~reach ~target:dst in
+        if match reach with Some r -> not (Reach.mem r ~src ~target:dst) | None -> false
+        then begin
+          Log.debug (fun m ->
+              m "query (%s, %s): pruned — tin can never reach tout"
+                (Jtype.to_string q.tin) (Jtype.to_string q.tout));
+          ([], no_info)
+        end
+        else begin
+          let freevar_cost_of = freevar_estimator ~scratch ~settings fz in
+          match strategy with
+          | Exhaustive ->
+              let truncated = ref false in
+              let paths =
+                Search.Csr.enumerate ~scratch fz ~sources:[ src ] ~target:dst
+                  ~slack:settings.slack ~limit:settings.limit ?cone ~truncated ()
+              in
+              Log.debug (fun m ->
+                  m "query (%s, %s): %d paths enumerated" (Jtype.to_string q.tin)
+                    (Jtype.to_string q.tout) (List.length paths));
+              ( rank_and_render ~settings ~hierarchy ~freevar_cost_of ?edge_cost
+                  ~input_name:(fun _ -> None)
+                  ~verify ~pfilter (Jungloid.of_frozen_path fz) paths,
+                { candidates = List.length paths; truncated = !truncated; warnings } )
+          | BestFirst ->
+              let dist_to = Search.Csr.distances_to ~scratch ?cone fz ~target:dst in
+              let dsrc = Search.Dist.get dist_to src in
+              if dsrc = max_int then begin
+                Log.debug (fun m ->
+                    m "query (%s, %s): no path" (Jtype.to_string q.tin)
+                      (Jtype.to_string q.tout));
+                ([], no_info)
+              end
+              else begin
+                let st =
+                  topk_stream ~memo:(Topk.Memo.domain ()) ~scratch ~settings
+                    ~hierarchy ~freevar_cost_of ?edge_cost ?cone fz ~dist_to
+                    ~sources:[ (src, dsrc + settings.slack) ]
+                    ~target:dst
+                in
+                let results =
+                  consume_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost
+                    ~verify ~pfilter st
+                in
+                Log.debug (fun m ->
+                    m "query (%s, %s): %d candidates materialized (best-first)"
+                      (Jtype.to_string q.tin) (Jtype.to_string q.tout)
+                      (Topk.materialized st));
+                ( results,
+                  {
+                    candidates = Topk.materialized st;
+                    truncated = Topk.truncated st;
+                    warnings;
+                  } )
+              end
+        end
+    | _ ->
+        Log.debug (fun m ->
+            m "query (%s, %s): type not in graph" (Jtype.to_string q.tin)
+              (Jtype.to_string q.tout));
+        ([], no_info)
   in
   (* [Warn] never touches the result list: emitted results are vetted after
      selection and violations ride along as warnings only, so the output
@@ -646,16 +542,14 @@ let run ?settings ?reach ?frozen ?verify ?edge_cost ?protocol_check ?graph
 
 (* Escaping entry point: the returned sequence captures live search state
    (distance lanes, the Topk heap), so it must not borrow recycled
-   per-domain scratch or the shared memo — the view is built without
-   scratch (one-shot lanes) and [topk_stream] gets no memo. *)
+   per-domain scratch or the shared memo — it runs outside any scratch
+   frame (one-shot lanes) and [topk_stream] gets no memo. *)
 let run_stream ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
     ?protocol_check ?graph ~hierarchy q =
   let edge_cost0 = edge_cost in
-  let view, gen = view_and_gen ?frozen ?graph () in
   let strategy, edge_cost, protocol, _warnings =
     effective_mode ~edge_cost ~protocol_check settings
   in
-  let pfilter = protocol_pred ~protocol ~protocol_check in
   match strategy with
   | Exhaustive ->
       (* exhaustive ranking needs the full path set up front; the stream
@@ -664,9 +558,12 @@ let run_stream ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
         (run ~settings ?reach ?frozen ?verify ?edge_cost:edge_cost0
            ?protocol_check ?graph ~hierarchy q)
   | BestFirst -> (
-      match (view.v_find q.tin, view.v_find q.tout) with
+      let fz = snapshot ?frozen ?graph ~edge_cost () in
+      let pfilter = protocol_pred ~protocol ~protocol_check in
+      let find = Graph.frozen_find_type_node fz in
+      match (find q.tin, find q.tout) with
       | Some src, Some dst ->
-          let reach = current_reach ~gen reach in
+          let reach = current_reach ~gen:(Graph.frozen_generation fz) reach in
           let cone = viable_of ~reach ~target:dst in
           if
             match reach with
@@ -674,14 +571,14 @@ let run_stream ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
             | None -> false
           then Seq.empty
           else begin
-            let freevar_cost_of = freevar_estimator ~settings view in
-            let dist_to = view.v_distances_to ~cone ~target:dst in
+            let freevar_cost_of = freevar_estimator ~settings fz in
+            let dist_to = Search.Csr.distances_to ?cone fz ~target:dst in
             let dsrc = Search.Dist.get dist_to src in
             if dsrc = max_int then Seq.empty
             else
               let st =
                 topk_stream ~settings ~hierarchy ~freevar_cost_of ?edge_cost
-                  ~cone view ~dist_to
+                  ?cone fz ~dist_to
                   ~sources:[ (src, dsrc + settings.slack) ]
                   ~target:dst
               in
@@ -822,133 +719,130 @@ let consume_multi ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
 
 let run_multi ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
     ?protocol_check ?graph ~hierarchy ~vars ~tout () =
-  let scratch =
-    match frozen with Some _ -> Some (Search.Scratch.domain ()) | None -> None
-  in
   let strategy, edge_cost, protocol, _warnings =
     effective_mode ~edge_cost ~protocol_check settings
   in
+  let fz = snapshot ?frozen ?graph ~edge_cost () in
   let pfilter = protocol_pred ~protocol ~protocol_check in
-  let body () =
-  let view, gen = view_and_gen ?scratch ?frozen ?graph () in
-  match view.v_find tout with
-  | None -> []
-  | Some dst ->
-      let var_nodes =
-        List.filter_map
-          (fun (name, ty) -> Option.map (fun n -> (n, name)) (view.v_find ty))
-          vars
-      in
-      let void = view.v_void () in
-      let sources =
-        match void with
-        | Some v -> v :: List.map fst var_nodes
-        | None -> List.map fst var_nodes
-      in
-      let cone = viable_of ~reach:(current_reach ~gen reach) ~target:dst in
-      let freevar_cost_of = freevar_estimator ~settings view in
-      let exhaustive () =
-        let truncated = ref false in
-        let paths =
-          view.v_enumerate_per_source ~cone ~sources ~target:dst
-            ~slack:settings.slack ~limit:settings.limit ~truncated
-        in
-        (* Attribute each path to the variables of its source node; a path
-           from the void node belongs to no variable. Distinct (jungloid,
-           source) pairs each become one suggestion. *)
-        let jungloid_sources = Hashtbl.create 64 in
-        List.iter
-          (fun (p : Search.path) ->
-            let j = view.v_of_path p in
-            let srcs =
-              if void = Some p.Search.source then [ None ]
-              else
-                List.filter_map
-                  (fun (n, name) ->
-                    if n = p.Search.source then Some (Some name) else None)
-                  var_nodes
-            in
-            List.iter (fun s -> Hashtbl.replace jungloid_sources (j, s) ()) srcs)
-          paths;
-        let pairs =
-          Hashtbl.fold (fun (j, s) () acc -> (j, s) :: acc) jungloid_sources []
-        in
-        let ranked =
-          List.map
-            (fun (j, s) ->
-              ( Rank.key ~weights:settings.weights ?freevar_cost_of ?edge_cost
-                  hierarchy j,
-                j,
-                s ))
-            pairs
-          |> List.sort (fun (ka, _, sa) (kb, _, sb) ->
-                 match Rank.compare_key ka kb with
-                 | 0 -> compare sa sb
-                 | c -> c)
-        in
-        let seen = Hashtbl.create 64 in
-        let ranked =
-          List.filter
-            (fun (_, j, s) ->
-              let key = (s, Jungloid.to_expression j) in
-              if Hashtbl.mem seen key then false
-              else begin
-                Hashtbl.replace seen key ();
-                true
-              end)
-            ranked
-        in
-        let ranked =
-          match verify with
-          | None -> ranked
-          | Some _ ->
-              let keep = verify_filter verify (List.map (fun (_, j, _) -> j) ranked) in
-              List.filter (fun (_, j, _) -> List.memq j keep) ranked
-        in
-        let ranked =
-          match pfilter with
-          | None -> ranked
-          | Some f -> List.filter (fun (_, j, _) -> f j) ranked
-        in
-        List.filteri (fun i _ -> i < settings.max_results) ranked
-        |> List.map (fun (key, j, s) ->
-               let input =
-                 match s with
-                 | Some name -> Some (name, Jungloid.input_type j)
-                 | None -> None
-               in
-               {
-                 source_var = s;
-                 result = { jungloid = j; key; code = Codegen.to_java ?input j };
-               })
-      in
-      let best_first () =
-        let dist_to = view.v_distances_to ~cone ~target:dst in
-        let budgeted =
-          List.filter_map
-            (fun s ->
-              let d = Search.Dist.get dist_to s in
-              if d < max_int then Some (s, d + settings.slack) else None)
-            (List.sort_uniq compare sources)
-        in
-        if budgeted = [] then []
-        else
-          let st =
-            topk_stream ~memo:(Topk.Memo.domain ()) ~settings ~hierarchy
-              ~freevar_cost_of ?edge_cost ~cone view ~dist_to ~sources:budgeted
-              ~target:dst
-          in
-          consume_multi ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
-            ~pfilter ~void ~var_nodes st
-      in
-      (match strategy with
-      | Exhaustive -> exhaustive ()
-      | BestFirst -> best_first ())
-  in
+  let scratch = Search.Scratch.domain () in
   let results =
-    match scratch with
-    | Some s -> Search.Scratch.with_frame s body
-    | None -> body ()
+    Search.Scratch.with_frame scratch @@ fun () ->
+    let find = Graph.frozen_find_type_node fz in
+    match find tout with
+    | None -> []
+    | Some dst ->
+        let var_nodes =
+          List.filter_map (fun (name, ty) -> Option.map (fun n -> (n, name)) (find ty)) vars
+        in
+        let void = Graph.frozen_void_node fz in
+        let sources =
+          match void with
+          | Some v -> v :: List.map fst var_nodes
+          | None -> List.map fst var_nodes
+        in
+        let cone =
+          viable_of
+            ~reach:(current_reach ~gen:(Graph.frozen_generation fz) reach)
+            ~target:dst
+        in
+        let freevar_cost_of = freevar_estimator ~scratch ~settings fz in
+        let exhaustive () =
+          let truncated = ref false in
+          let paths =
+            Search.Csr.enumerate_per_source ~scratch fz ~sources ~target:dst
+              ~slack:settings.slack ~limit:settings.limit ?cone ~truncated ()
+          in
+          (* Attribute each path to the variables of its source node; a path
+             from the void node belongs to no variable. Distinct (jungloid,
+             source) pairs each become one suggestion. *)
+          let jungloid_sources = Hashtbl.create 64 in
+          List.iter
+            (fun (p : Search.path) ->
+              let j = Jungloid.of_frozen_path fz p in
+              let srcs =
+                if void = Some p.Search.source then [ None ]
+                else
+                  List.filter_map
+                    (fun (n, name) ->
+                      if n = p.Search.source then Some (Some name) else None)
+                    var_nodes
+              in
+              List.iter (fun s -> Hashtbl.replace jungloid_sources (j, s) ()) srcs)
+            paths;
+          let pairs =
+            Hashtbl.fold (fun (j, s) () acc -> (j, s) :: acc) jungloid_sources []
+          in
+          let ranked =
+            List.map
+              (fun (j, s) ->
+                ( Rank.key ~weights:settings.weights ?freevar_cost_of ?edge_cost
+                    hierarchy j,
+                  j,
+                  s ))
+              pairs
+            |> List.sort (fun (ka, _, sa) (kb, _, sb) ->
+                   match Rank.compare_key ka kb with
+                   | 0 -> compare sa sb
+                   | c -> c)
+          in
+          let seen = Hashtbl.create 64 in
+          let ranked =
+            List.filter
+              (fun (_, j, s) ->
+                let key = (s, Jungloid.to_expression j) in
+                if Hashtbl.mem seen key then false
+                else begin
+                  Hashtbl.replace seen key ();
+                  true
+                end)
+              ranked
+          in
+          let ranked =
+            match verify with
+            | None -> ranked
+            | Some _ ->
+                let keep = verify_filter verify (List.map (fun (_, j, _) -> j) ranked) in
+                List.filter (fun (_, j, _) -> List.memq j keep) ranked
+          in
+          let ranked =
+            match pfilter with
+            | None -> ranked
+            | Some f -> List.filter (fun (_, j, _) -> f j) ranked
+          in
+          List.filteri (fun i _ -> i < settings.max_results) ranked
+          |> List.map (fun (key, j, s) ->
+                 let input =
+                   match s with
+                   | Some name -> Some (name, Jungloid.input_type j)
+                   | None -> None
+                 in
+                 {
+                   source_var = s;
+                   result = { jungloid = j; key; code = Codegen.to_java ?input j };
+                 })
+        in
+        let best_first () =
+          let dist_to = Search.Csr.distances_to ~scratch ?cone fz ~target:dst in
+          let budgeted =
+            List.filter_map
+              (fun s ->
+                let d = Search.Dist.get dist_to s in
+                if d < max_int then Some (s, d + settings.slack) else None)
+              (List.sort_uniq compare sources)
+          in
+          if budgeted = [] then []
+          else
+            let st =
+              topk_stream ~memo:(Topk.Memo.domain ()) ~scratch ~settings ~hierarchy
+                ~freevar_cost_of ?edge_cost ?cone fz ~dist_to ~sources:budgeted
+                ~target:dst
+            in
+            consume_multi ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
+              ~pfilter ~void ~var_nodes st
+        in
+        (match strategy with
+        | Exhaustive -> exhaustive ()
+        | BestFirst -> best_first ())
   in
   (* [run_multi] has no info channel: [Warn]-mode violations on emitted
      suggestions are logged, results untouched. *)

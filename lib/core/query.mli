@@ -171,37 +171,36 @@ val run :
   t ->
   result list
 (** Ranked solution jungloids; [[]] when [tin] or [tout] has no node or no
-    path exists. Exactly one of [?graph] and [?frozen] is required
-    ([Invalid_argument] when both are missing; [?frozen] wins when both are
-    given) — snapshot-only callers (warm-started engines, shard workers)
-    never materialize a mutable graph at all. When [?reach] is a {!Reach}
-    index for the graph's current
-    {!Graph.generation}, unsolvable queries are rejected in O(1) and — when
-    [tout]'s reachability cone is a small enough fraction of the graph for
-    filtering to pay — the search frontier is pruned to the cone; the result
-    list is provably identical with and without the index. A stale index is
-    ignored, never misapplied. [?verify] filters unsound chains (see
-    {!verify}); the cached entry points below never take it, so cached and
-    verified results cannot mix.
+    path exists. The pipeline (type lookup, 0-1 BFS, path DFS, jungloid
+    conversion) runs on a CSR snapshot: [?frozen], or else [?graph], which
+    is frozen on entry ([Graph.freeze ?wcost:edge_cost]) — callers that
+    loop over queries should freeze once and pass [?frozen]. One of the two
+    is required ([Invalid_argument] when both are missing; [?frozen] wins
+    when both are given). Freezing never mutates [?graph]; a graph without
+    an interned [void] node has no void source. Snapshot-only callers
+    (warm-started engines, shard workers) never materialize a mutable
+    graph at all, and a query never reads one — the lock-free server read
+    path. Distances land in recycled per-domain epoch-stamped scratch
+    lanes, so at steady state a query allocates nothing proportional to
+    the graph. The snapshot is trusted: results describe whatever graph it
+    captures.
 
-    With [?frozen], the whole pipeline (type lookup, 0-1 BFS, path DFS,
-    jungloid conversion) runs on the CSR snapshot and never reads the
-    mutable graph —
-    the lock-free server read path. Distances land in recycled per-domain
-    epoch-stamped scratch lanes, so at steady state a query allocates
-    nothing proportional to the graph. The snapshot is trusted: pass one taken
-    from this graph (results describe whatever graph it captures), and a
-    [?reach] index is matched against the {e snapshot}'s generation. Results
-    are byte-identical to the list-based path on the captured graph
-    ([test_parallel.ml], and transitively the [test_cache.ml] equivalence
-    suite, pin this).
+    When [?reach] is a {!Reach} index for the snapshot's generation,
+    unsolvable queries are rejected in O(1) and — when [tout]'s
+    reachability cone is a small enough fraction of the graph for
+    filtering to pay — the search frontier is pruned to the cone; the
+    result list is provably identical with and without the index. A stale
+    index is ignored, never misapplied. [?verify] filters unsound chains
+    (see {!verify}); the cached entry points below never take it, so
+    cached and verified results cannot mix.
 
     [?edge_cost] is the mined usage model ([Mining.Usage.edge_cost]),
     consulted only when [settings.ranking = Mined]. It must be
     non-negative, and when combined with [?frozen] the snapshot must have
     been taken with [Graph.freeze ~wcost] under the {e same} model — the
     weighted best-first search reads the snapshot's baked cost arrays.
-    Engine snapshots maintain this invariant automatically.
+    Engine snapshots, and snapshots frozen from [?graph], maintain this
+    invariant automatically.
 
     [?protocol_check] returns the protocol violations of a chain
     ([Analysis.Protolint.violations] against a mined model in practice; []
@@ -224,8 +223,8 @@ val run_stream :
     settings.max_results (run_stream ... q))] is byte-identical to [run
     ... q]. This is what refine sessions consume — a session's candidate
     set {e is} the query reply's result list. The sequence is memoized
-    (safe to re-traverse) but captures live search state: consume it
-    before mutating the graph, or pass [?frozen]. Under the [Exhaustive]
+    (safe to re-traverse) and captures live search state over its own
+    snapshot (one-shot lanes, no shared scratch). Under the [Exhaustive]
     strategy there is nothing lazy to expose and the stream degenerates to
     {!run}'s list; [settings.max_results] then bounds it. *)
 
@@ -262,9 +261,9 @@ val run_multi :
   multi_result list
 (** One multi-source search from all [vars] plus [void]; each result's code
     references the variable it starts from. The ranked order interleaves all
-    sources. [?reach] prunes and [?frozen] redirects to the snapshot exactly
-    as in {!run} (a snapshot without an interned [void] node simply omits
-    the [void] source; engine snapshots always intern it first). There is no
+    sources. [?reach], [?frozen] and [?graph] behave exactly as in {!run} (a
+    snapshot without an interned [void] node simply omits the [void]
+    source; engine snapshots always intern it first). There is no
     info channel here, so [protocol = Warn] violations are logged rather
     than returned; [Filter] drops violating suggestions as in {!run}. *)
 

@@ -2,11 +2,13 @@
     8 MB of space on disk and 24 MB when loaded into memory. Loading the
     graph takes 1.5 seconds").
 
-    The format is OCaml's Marshal with a magic header and format version —
-    compact and fast, at the usual Marshal caveat: files are only readable
-    by a compatible build, so they are a cache, not an interchange format
-    (the interchange format is [.japi] text, which {!Japi.Printer}
-    round-trips). *)
+    Files carry a magic header and a format version; their heap parts are
+    OCaml's Marshal — compact and fast, at the usual Marshal caveat: files
+    are only readable by a compatible build, so they are a cache, not an
+    interchange format (the interchange format is [.japi] text, which
+    {!Japi.Printer} round-trips). Every save writes a temporary beside the
+    target and renames it into place ({!Util.write_file_atomic}), so
+    re-saving a snapshot another process has mapped is safe. *)
 
 exception Format_error of string
 
@@ -24,21 +26,7 @@ type error =
 val error_message : error -> string
 (** One-line human-readable rendering (for warnings and logs). *)
 
-val save : Graph.t -> string -> int
-(** [save g path] writes the graph and returns the byte size written. *)
-
-val load_result : string -> (Graph.t, error) result
-
-val load : string -> Graph.t
-(** @raise Format_error on a missing/garbled header, version mismatch, or
-    corrupt payload (the raising veneer over {!load_result}).
-    @raise Sys_error on I/O failure. *)
-
-val to_bytes : Graph.t -> bytes
-
-val of_bytes : bytes -> Graph.t
-
-(** {2 Frozen CSR snapshots (v2)}
+(** {2 Frozen CSR snapshots}
 
     The scale format: the {!Graph.frozen} hot lanes are stored as raw
     page-aligned segments after a small Marshal'd cold section, so
@@ -61,8 +49,8 @@ val load_frozen : ?mmap:bool -> string -> (Graph.frozen, error) result
     into fresh heap-external arrays (bit-identical result — the property
     suite checks both against the original freeze). File size and segment
     bounds are validated {e before} mapping, so a truncated file is a
-    [Corrupt] error, never a [SIGBUS]. A v1 graph file reports
-    [Bad_magic] — callers fall back to {!load_result}. *)
+    [Corrupt] error, never a [SIGBUS]; a foreign file (including a graph
+    file of the retired v1 format) reports [Bad_magic]. *)
 
 (** {2 Reachability index}
 

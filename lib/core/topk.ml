@@ -1,5 +1,5 @@
 (* Rank-aware best-first top-k path enumeration (the lazy alternative to
-   [Search.enumerate] + [Rank.sort]).
+   [Search.Csr.enumerate] + [Rank.sort]).
 
    The exhaustive pipeline materializes every acyclic path within budget —
    up to [limit = 4096] — builds a [Jungloid.t] and a full [Rank.key] per

@@ -27,3 +27,22 @@ let contains ~sub s =
       false
     with Exit -> true
   end
+
+(* The temporary lives beside the target so the rename stays within one
+   file system (and is therefore atomic). *)
+let write_file_atomic path write =
+  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  let oc = open_out_bin tmp in
+  match
+    let r = write oc in
+    flush oc;
+    Unix.fsync (Unix.descr_of_out_channel oc);
+    close_out oc;
+    Sys.rename tmp path;
+    r
+  with
+  | r -> r
+  | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e

@@ -57,12 +57,15 @@ let sample_pairs ~keep graph ~count ~seed =
   in
   sample [] 0 0
 
-let solvable graph si di =
-  Search.shortest_cost graph ~sources:[ si ] ~target:di <> None
+(* One snapshot per call, shared by every candidate pair's check. *)
+let solvable graph =
+  let fz = Graph.freeze graph in
+  fun si di -> Search.Csr.shortest_cost fz ~sources:[ si ] ~target:di <> None
 
 let random_queries hierarchy graph ~count ~seed =
   ignore hierarchy;
   sample_pairs ~keep:(solvable graph) graph ~count ~seed
 
 let random_misses graph ~count ~seed =
-  sample_pairs ~keep:(fun si di -> not (solvable graph si di)) graph ~count ~seed
+  let solvable = solvable graph in
+  sample_pairs ~keep:(fun si di -> not (solvable si di)) graph ~count ~seed

@@ -209,11 +209,8 @@ let accept_loop t listen_fd () =
   Mutex.unlock t.qmutex
 
 let write_port_file path port =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (string_of_int port ^ "\n");
-  close_out oc;
-  Sys.rename tmp path
+  Prospector.Util.write_file_atomic path (fun oc ->
+      output_string oc (string_of_int port ^ "\n"))
 
 let start t =
   (* a worker writing to a dead client must get EPIPE, not a process kill *)

@@ -52,7 +52,7 @@ val solve_with_tool :
   constants ->
   rng:Corpusgen.Rng.t ->
   skill:float ->
-  graph:Prospector.Graph.t ->
+  frozen:Prospector.Graph.frozen ->
   hierarchy:Javamodel.Hierarchy.t ->
   Apidata.Study.t ->
   attempt
@@ -61,7 +61,7 @@ val solve_baseline :
   constants ->
   rng:Corpusgen.Rng.t ->
   skill:float ->
-  graph:Prospector.Graph.t ->
+  frozen:Prospector.Graph.frozen ->
   hierarchy:Javamodel.Hierarchy.t ->
   Apidata.Study.t ->
   attempt

@@ -37,6 +37,19 @@ let check_results_equal name (a : Query.result list) (b : Query.result list) =
       Alcotest.(check string) (n ^ " code") x.Query.code y.Query.code)
     (List.combine a b)
 
+(* The engine's snapshot search against the list-based oracle on the live
+   graph: the paths every pipeline above ranks. *)
+let check_paths_agree name graph frozen ~per_source ~sources ~target =
+  let csr, oracle =
+    if per_source then
+      ( Prospector.Search.Csr.enumerate_per_source frozen ~sources ~target (),
+        Search_oracle.enumerate_per_source graph ~sources ~target () )
+    else
+      ( Prospector.Search.Csr.enumerate frozen ~sources ~target (),
+        Search_oracle.enumerate graph ~sources ~target () )
+  in
+  Alcotest.(check bool) (name ^ ": paths = oracle") true (csr = oracle)
+
 let test_cached_equals_uncached () =
   let graph, hierarchy, qs = workload () in
   let engine = Query.engine ~graph ~hierarchy () in
@@ -49,6 +62,13 @@ let test_cached_equals_uncached () =
         Printf.sprintf "%s -> %s" (Jtype.to_string q.Query.tin)
           (Jtype.to_string q.Query.tout)
       in
+      (match
+         (Graph.find_type_node graph q.Query.tin, Graph.find_type_node graph q.Query.tout)
+       with
+      | Some src, Some target ->
+          check_paths_agree name graph (Query.engine_frozen engine) ~per_source:false
+            ~sources:[ src ] ~target
+      | _ -> ());
       check_results_equal (name ^ " cold") plain cold;
       check_results_equal (name ^ " warm") plain warm)
     qs;
@@ -82,6 +102,11 @@ let test_multi_cached_equals_uncached () =
   in
   let tout = Jtype.ref_of_string "org.eclipse.ui.texteditor.IDocumentProvider" in
   let plain = Query.run_multi ~graph ~hierarchy ~vars ~tout () in
+  check_paths_agree "multi" graph (Query.engine_frozen engine) ~per_source:true
+    ~sources:
+      (Graph.void_node graph
+      :: List.map (fun (_, ty) -> Option.get (Graph.find_type_node graph ty)) vars)
+    ~target:(Option.get (Graph.find_type_node graph tout));
   let cold = Query.run_multi_cached engine ~vars ~tout () in
   let warm = Query.run_multi_cached engine ~vars ~tout () in
   Alcotest.(check bool) "multi cold identical" true (plain = cold);

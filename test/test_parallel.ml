@@ -117,10 +117,18 @@ let prop_frozen_run_equals_live =
     (fun (h, g) ->
       let frozen = Graph.freeze g in
       List.for_all
-        (fun q ->
+        (fun (q : Query.t) ->
           let live = Query.run ~graph:g ~hierarchy:h q in
-          let frz = Query.run ~frozen ~graph:g ~hierarchy:h q in
-          List.length live = List.length frz
+          let frz = Query.run ~frozen ~hierarchy:h q in
+          (* the paths under both: the CSR search against the list oracle *)
+          (match
+             (Graph.find_type_node g q.Query.tin, Graph.find_type_node g q.Query.tout)
+           with
+          | Some src, Some dst ->
+              Prospector.Search.Csr.enumerate frozen ~sources:[ src ] ~target:dst ()
+              = Search_oracle.enumerate g ~sources:[ src ] ~target:dst ()
+          | _ -> true)
+          && List.length live = List.length frz
           && List.for_all2
                (fun (a : Query.result) (b : Query.result) ->
                  Prospector.Jungloid.equal a.Query.jungloid b.Query.jungloid

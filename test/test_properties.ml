@@ -57,12 +57,13 @@ let prop_path_costs_bounded =
               Graph.find_type_node w.w_g q.Query.tout )
           with
           | Some src, Some dst -> (
-              match Search.shortest_cost w.w_g ~sources:[ src ] ~target:dst with
+              let fz = Graph.freeze w.w_g in
+              match Search.Csr.shortest_cost fz ~sources:[ src ] ~target:dst with
               | None -> true
               | Some m ->
                   let limit = 200_000 in
                   let paths =
-                    Search.enumerate w.w_g ~sources:[ src ] ~target:dst ~slack:1
+                    Search.Csr.enumerate fz ~sources:[ src ] ~target:dst ~slack:1
                       ~limit ()
                   in
                   let truncated = List.length paths >= limit in
@@ -91,8 +92,9 @@ let prop_slack_monotone =
               Graph.find_type_node w.w_g q.Query.tout )
           with
           | Some src, Some dst ->
+              let fz = Graph.freeze w.w_g in
               let paths k =
-                Search.enumerate w.w_g ~sources:[ src ] ~target:dst ~slack:k
+                Search.Csr.enumerate fz ~sources:[ src ] ~target:dst ~slack:k
                   ~limit:100000 ()
                 |> List.map (fun (p : Search.path) ->
                        List.map (fun e -> e.Graph.elem) p.Search.edges)
@@ -153,24 +155,6 @@ let prop_codegen_result_var_present =
             n = 0 || go 0
           in
           contains ~sub:gen.Prospector.Codegen.result_var gen.Prospector.Codegen.code))
-
-let prop_serialize_roundtrip =
-  QCheck2.Test.make ~name:"serialize/deserialize preserves the graph structurally"
-    ~count:20 world_gen (fun w ->
-      let g = w.w_g in
-      let g' = Prospector.Serialize.of_bytes (Prospector.Serialize.to_bytes g) in
-      let edges g =
-        let acc = ref [] in
-        Graph.iter_edges g (fun e -> acc := (e.Graph.src, e.Graph.elem, e.Graph.dst) :: !acc);
-        List.sort compare !acc
-      in
-      Graph.node_count g = Graph.node_count g'
-      && List.for_all
-           (fun n ->
-             Jtype.equal (Graph.node_type g n) (Graph.node_type g' n)
-             && Graph.typestate_origin g n = Graph.typestate_origin g' n)
-           (Graph.nodes g)
-      && edges g = edges g')
 
 let prop_cluster_partitions =
   QCheck2.Test.make ~name:"clusters partition the result list" ~count:40 world_gen
@@ -372,7 +356,6 @@ let () =
           [
             prop_codegen_declares_ref_frees;
             prop_codegen_result_var_present;
-            prop_serialize_roundtrip;
             prop_cluster_partitions;
             prop_japi_printer_roundtrip;
           ] );

@@ -1,9 +1,11 @@
 (* Million-method-scale plumbing, shrunk to test size: the package-cone
    shard router must be invisible in batch answers (qcheck, over locality
-   worlds where the planner actually engages), the v2 frozen snapshot must
-   round-trip through disk bit for bit with and without mmap, a damaged
-   cache file must surface as a typed error rather than a crash, and the
-   mega generator must be a pure function of its seed. *)
+   worlds where the planner actually engages), the frozen snapshot must
+   round-trip through disk bit for bit with and without mmap and survive a
+   re-save while mapped, a damaged cache file must surface as a typed error
+   rather than a crash, the CSR search must match the list oracle on a
+   bench-sized world, and the mega generator must be a pure function of its
+   seed. *)
 
 module Jtype = Javamodel.Jtype
 module Graph = Prospector.Graph
@@ -149,19 +151,43 @@ let test_damaged_files () =
           Alcotest.failf "header-only: expected Corrupt, got %s"
             (Serialize.error_message e));
       rewrite "definitely not a prospector cache file";
-      (match Serialize.load_frozen path with
+      match Serialize.load_frozen path with
       | Error (Serialize.Bad_magic _) -> ()
-      | _ -> Alcotest.fail "foreign file was not Bad_magic");
-      (* the two formats reject each other by magic, which is what lets the
-         server probe v2 first and fall back to a v1 graph file *)
-      ignore (Serialize.save g path : int);
-      (match Serialize.load_frozen path with
-      | Error (Serialize.Bad_magic _) -> ()
-      | _ -> Alcotest.fail "v1 graph file was not Bad_magic to the v2 loader");
-      ignore (Serialize.save_frozen frozen path : int);
-      match Serialize.load_result path with
-      | Error (Serialize.Bad_magic _) -> ()
-      | _ -> Alcotest.fail "v2 file was not Bad_magic to the v1 loader")
+      | _ -> Alcotest.fail "foreign file was not Bad_magic")
+
+(* Re-saving over a snapshot that is still mapped must leave the mapped one
+   intact: the save replaces the file rather than rewriting it in place
+   (which would truncate the mapped pages — a SIGBUS on the next query). *)
+let test_resave_while_mapped () =
+  let h, g = small_world () in
+  let qs = Corpusgen.Workload.random_queries h g ~count:5 ~seed:3 in
+  let answers fz =
+    List.map
+      (fun q ->
+        List.map
+          (fun (r : Query.result) ->
+            (Prospector.Jungloid.to_string r.Query.jungloid, r.Query.code))
+          (Query.run ~frozen:fz ~hierarchy:h q))
+      qs
+  in
+  with_temp (fun path ->
+      ignore (Serialize.save_frozen (Graph.freeze g) path : int);
+      let old =
+        match Serialize.load_frozen ~mmap:true path with
+        | Ok fz -> fz
+        | Error e -> Alcotest.fail (Serialize.error_message e)
+      in
+      let before = answers old in
+      check_bool "the sample has answers" true (List.exists (( <> ) []) before);
+      (* a much smaller snapshot, so an in-place rewrite would cut the
+         mapping short *)
+      let tiny =
+        Prospector.Sig_graph.build
+          (Corpusgen.Apigen.generate
+             { Corpusgen.Apigen.default_params with classes = 5 })
+      in
+      ignore (Serialize.save_frozen (Graph.freeze tiny) path : int);
+      check_bool "mapped snapshot answers unchanged" true (answers old = before))
 
 (* ---------- shard plan invariants ---------- *)
 
@@ -248,6 +274,66 @@ let test_kernel_scratch_and_cone () =
       in
       check_bool "cone-pruned distances = unpruned" true (base = pruned)
 
+(* ---------- the CSR search against the list oracle, at bench scale ---------- *)
+
+(* The bench's small world: 20 solvable pairs sampled through the reach
+   index, every Search.Csr entry point checked against Search_oracle with
+   and without the target's cone, weighted search under a non-uniform cost
+   model. *)
+let test_csr_matches_oracle () =
+  let _, g = mega_world 10_000 in
+  let wcost e = 1 + (Hashtbl.hash e mod 17) in
+  let frozen = Graph.freeze ~wcost g in
+  let reach = Reach.build_frozen frozen in
+  let n = Graph.frozen_node_count frozen in
+  let void = Graph.void_node g in
+  let real =
+    Array.of_list
+      (List.filter_map
+         (fun (ty, node) -> match ty with Jtype.Ref _ -> Some node | _ -> None)
+         (Graph.real_nodes g))
+  in
+  let rng = Corpusgen.Rng.create ~seed:31 in
+  let rec sample acc k =
+    if k = 0 then acc
+    else
+      let si = real.(Corpusgen.Rng.int rng (Array.length real)) in
+      let di = real.(Corpusgen.Rng.int rng (Array.length real)) in
+      if si <> di && Reach.mem reach ~src:si ~target:di then sample ((si, di) :: acc) (k - 1)
+      else sample acc k
+  in
+  let pairs = sample [] 20 in
+  List.iter
+    (fun (src, dst) ->
+      let name what cone =
+        Printf.sprintf "%d -> %d %s%s" src dst what
+          (if cone = None then "" else " (cone)")
+      in
+      let cone_of = Option.map fst (Reach.cone reach ~target:dst) in
+      let viable = Option.map Reach.cone_viable cone_of in
+      List.iter
+        (fun cone ->
+          let viable = if cone = None then None else viable in
+          let dist d = Search.Dist.snapshot ~n d in
+          check_bool (name "distances_to" cone) true
+            (dist (Search.Csr.distances_to ?cone frozen ~target:dst)
+            = Search_oracle.distances_to ?viable g ~target:dst);
+          check_bool (name "distances_from" cone) true
+            (dist (Search.Csr.distances_from ?cone frozen ~sources:[ src ])
+            = Search_oracle.distances_from ?viable g ~sources:[ src ]);
+          check_bool (name "weighted_distances_to" cone) true
+            (dist (Search.Csr.weighted_distances_to ?cone frozen ~target:dst)
+            = Search_oracle.weighted_distances_to ?viable g ~target:dst ~cost:wcost);
+          check_bool (name "enumerate" cone) true
+            (Search.Csr.enumerate ?cone frozen ~sources:[ src ] ~target:dst ()
+            = Search_oracle.enumerate g ~sources:[ src ] ~target:dst ());
+          check_bool (name "enumerate_per_source" cone) true
+            (Search.Csr.enumerate_per_source ?cone frozen ~sources:[ src; void ]
+               ~target:dst ()
+            = Search_oracle.enumerate_per_source g ~sources:[ src; void ] ~target:dst ()))
+        [ None; cone_of ])
+    pairs
+
 (* ---------- mega generator determinism ---------- *)
 
 let sorted_decls h = List.sort compare (Javamodel.Hierarchy.decls h)
@@ -274,14 +360,21 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_sharded_batch_oracle; prop_frozen_disk_roundtrip ] );
       ( "serialize",
-        [ Alcotest.test_case "damaged files are typed errors" `Quick
-            test_damaged_files ] );
+        [
+          Alcotest.test_case "damaged files are typed errors" `Quick
+            test_damaged_files;
+          Alcotest.test_case "re-save while mapped" `Quick test_resave_while_mapped;
+        ] );
       ( "shard",
         [ Alcotest.test_case "plan engages and stays consistent" `Quick
             test_shards_engage ] );
       ( "kernels",
-        [ Alcotest.test_case "scratch reuse and cone pruning" `Quick
-            test_kernel_scratch_and_cone ] );
+        [
+          Alcotest.test_case "scratch reuse and cone pruning" `Quick
+            test_kernel_scratch_and_cone;
+          Alcotest.test_case "csr = list oracle, 10k methods" `Quick
+            test_csr_matches_oracle;
+        ] );
       ( "mega",
         [ Alcotest.test_case "deterministic in the seed" `Quick
             test_mega_deterministic ] );

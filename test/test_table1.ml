@@ -216,10 +216,10 @@ let test_xmleditor_generality_anecdote () =
 (* ---------- study problems via assist ---------- *)
 
 let test_study_problems_tool_ranks () =
-  let g = graph () and h = hierarchy () in
+  let frozen = Prospector.Graph.freeze (graph ()) and h = hierarchy () in
   List.iter
     (fun (p : Apidata.Study.t) ->
-      match Apidata.Study.tool_rank ~graph:g ~hierarchy:h p with
+      match Apidata.Study.tool_rank ~frozen ~hierarchy:h p with
       | Some r ->
           check_bool
             (Printf.sprintf "study %d rank %d <= 5" p.Apidata.Study.id r)

@@ -188,16 +188,21 @@ let prop_weighted_distance_is_lower_bound =
                 Option.get (Graph.find_type_node g q.Query.tout)
               in
               let wdist =
-                Search.weighted_distances_to g ~target ~cost:edge_cost
+                Search.Dist.get
+                  (Search.Csr.weighted_distances_to
+                     (Graph.freeze ~wcost:edge_cost g) ~target)
+                  src
               in
-              Query.run ~settings ~edge_cost ~graph:g ~hierarchy:h q
+              wdist
+              = (Search_oracle.weighted_distances_to g ~target ~cost:edge_cost).(src)
+              && Query.run ~settings ~edge_cost ~graph:g ~hierarchy:h q
               |> List.for_all (fun (r : Query.result) ->
                      let mined =
                        List.fold_left
                          (fun acc e -> acc + edge_cost e)
                          0 r.Query.jungloid.Prospector.Jungloid.elems
                      in
-                     wdist.(src) <= mined))
+                     wdist <= mined))
         (Workload.random_queries h g ~count:3 ~seed:5))
 
 let () =
