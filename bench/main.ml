@@ -1583,17 +1583,41 @@ let section_micro () =
 (* Million-method scale: mega worlds, shards, mmap warm starts         *)
 (* ------------------------------------------------------------------ *)
 
-(* Gates `make check` at reduced sizes (10k/100k): a shard or mmap identity
+(* Gates `make check` at reduced sizes (10k/100k): a batch or mmap identity
    divergence exits nonzero. The full million-method row is opt-in:
 
      BENCH_SCALE_SIZES=10000,100000,1000000 dune exec bench/main.exe -- scale
 
    Above 200k methods the engine runs unpruned — the reach index is the one
-   structure whose memory grows faster than the graph — so the shard path
-   (which routes through reach) falls back to the whole snapshot there; the
-   identity checks still run. *)
+   structure whose memory grows faster than the graph — so there is no
+   shard plan there; the identity checks still run.
+
+   Each size is one arm, run in a forked child so its per-query latencies
+   start from a fresh heap instead of the previous size's garbage; the
+   child sends its JSON row back over a pipe. *)
+let in_fresh_heap f =
+  flush_all ();
+  let rd, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close rd;
+      let r = try Ok (f ()) with e -> Error (Printexc.to_string e) in
+      let oc = Unix.out_channel_of_descr wr in
+      Marshal.to_channel oc (r : (string * bool, string) result) [];
+      close_out oc;
+      exit 0
+  | pid -> (
+      Unix.close wr;
+      let ic = Unix.in_channel_of_descr rd in
+      let r : (string * bool, string) result = Marshal.from_channel ic in
+      close_in ic;
+      ignore (Unix.waitpid [] pid : int * Unix.process_status);
+      match r with Ok v -> v | Error msg -> failwith msg)
+
+let latency_queries = 200
+
 let section_scale () =
-  rule "Million-method scale — mega worlds, shards, mmap warm starts";
+  rule "Million-method scale — mega worlds, per-query latency, mmap warm starts";
   let sizes =
     match Sys.getenv_opt "BENCH_SCALE_SIZES" with
     | None -> [ 10_000; 100_000 ]
@@ -1601,8 +1625,8 @@ let section_scale () =
         List.filter_map int_of_string_opt
           (String.split_on_char ',' (String.trim s))
   in
-  let failed = ref false in
   let measure methods =
+    let failed = ref false in
     Printf.printf "\n%d methods:\n%!" methods;
     let gen_t, h = time_of (fun () -> Corpusgen.Workload.mega_api ~methods) in
     let build_t, g = time_of (fun () -> Sig_graph.build h) in
@@ -1633,7 +1657,7 @@ let section_scale () =
       in
       let n = Array.length real in
       let acc = ref [] and got = ref 0 and tries = ref 0 in
-      while !got < 20 && !tries < 200_000 do
+      while !got < latency_queries && !tries < 2_000_000 do
         incr tries;
         let ti, si = real.(Corpusgen.Rng.int rng n) in
         let to_, di = real.(Corpusgen.Rng.int rng n) in
@@ -1644,6 +1668,10 @@ let section_scale () =
       done;
       List.rev !acc
     in
+    (* the first 20 pairs drive the kernel, batch and warm-start rows; all
+       of them the per-query latency distribution *)
+    let lat_qs = List.map fst qs in
+    let qs = List.filteri (fun i _ -> i < 20) qs in
     let pairs = List.map snd qs in
     let qs = List.map fst qs in
     let nq = List.length qs in
@@ -1675,9 +1703,30 @@ let section_scale () =
       time_of (fun () -> List.map (fun q -> Query.run ~frozen ~hierarchy:h q) qs)
     in
     Printf.printf "  end-to-end: %.3f s\n%!" csr_t;
-    (* Package-cone sharding: batch fan-out vs the sequential whole-snapshot
-       oracle, byte for byte. *)
+    (* Per-query latency as the batch and the daemon run it (whole snapshot,
+       reach index when pruning), after one warm-up pass, with the search
+       work each query did. *)
     let prune = methods <= 200_000 in
+    let lat_reach = if prune then Some reach else None in
+    let run_one q = Query.run_info ?reach:lat_reach ~frozen ~hierarchy:h q in
+    List.iter (fun q -> ignore (run_one q : Query.result list * Query.info)) lat_qs;
+    Gc.compact ();
+    let lats, expanded, materialized =
+      List.fold_left
+        (fun (lats, ex, mat) q ->
+          let t, (_, info) = time_of (fun () -> run_one q) in
+          (t :: lats, ex + info.Query.expanded, mat + info.Query.candidates))
+        ([], 0, 0) lat_qs
+    in
+    let ms p = percentile lats p *. 1000.0 in
+    let lat_max = 1000.0 *. List.fold_left max 0.0 lats in
+    Printf.printf
+      "  per query (%d): p50 %.3f ms, p99 %.3f ms, max %.3f ms; %d prefixes \
+       expanded, %d candidates materialized\n\
+       %!"
+      (List.length lat_qs) (ms 0.5) (ms 0.99) lat_max expanded materialized;
+    (* The batch fan-out vs the sequential whole-snapshot oracle, byte for
+       byte. *)
     let engine = Query.engine_of_frozen ~prune ~reach ~frozen ~hierarchy:h () in
     let batch_t, batch = time_of (fun () -> Query.run_batch engine qs) in
     let shard_count =
@@ -1686,13 +1735,14 @@ let section_scale () =
       | None -> 0
     in
     let oracle = List.map (fun q -> (q, Query.run ~frozen ~hierarchy:h q)) qs in
-    let shard_identical = batch = oracle in
+    let batch_identical = batch = oracle in
     let qps = float_of_int nq /. batch_t in
     Printf.printf
-      "  batch: %.3f s (%.0f queries/s), %d shard(s), identical to oracle %b\n\
+      "  batch: %.3f s (%.0f queries/s), %d shard(s) planned, identical to \
+       oracle %b\n\
        %!"
-      batch_t qps shard_count shard_identical;
-    if not shard_identical then failed := true;
+      batch_t qps shard_count batch_identical;
+    if not batch_identical then failed := true;
     (* Warm start: the snapshot mmapped vs read into the heap. *)
     let froz_path = Filename.temp_file "prospector_scale" ".froz" in
     let froz_bytes = Prospector.Serialize.save_frozen frozen froz_path in
@@ -1726,26 +1776,38 @@ let section_scale () =
       \      \"query_csr_s\": %.4f,\n\
       \      \"batch_s\": %.4f,\n\
       \      \"queries_per_s\": %.1f,\n\
+      \      \"latency_queries\": %d,\n\
+      \      \"latency_p50_ms\": %.3f,\n\
+      \      \"latency_p99_ms\": %.3f,\n\
+      \      \"latency_max_ms\": %.3f,\n\
+      \      \"expanded_total\": %d,\n\
+      \      \"materialized_total\": %d,\n\
       \      \"shards\": %d,\n\
-      \      \"shard_identical\": %b,\n\
+      \      \"batch_identical\": %b,\n\
       \      \"frozen_bytes\": %d,\n\
       \      \"warm_mmap_s\": %.5f,\n\
       \      \"warm_read_s\": %.5f,\n\
       \      \"mmap_identical\": %b\n\
       \    }"
       methods nodes edges gen_t build_t freeze_t reach_t nq passes kern_csr_t
-      csr_t batch_t qps shard_count shard_identical froz_bytes mmap_t read_t
-      mmap_identical
+      csr_t batch_t qps (List.length lat_qs) (ms 0.5) (ms 0.99) lat_max expanded
+      materialized shard_count batch_identical froz_bytes mmap_t read_t
+      mmap_identical,
+    !failed
   in
-  let rows = List.map measure sizes in
+  let rows = List.map (fun m -> in_fresh_heap (fun () -> measure m)) sizes in
   let json =
-    Printf.sprintf "{\n  \"sizes\": [\n%s\n  ]\n}\n" (String.concat ",\n" rows)
+    Printf.sprintf
+      "{\n  \"cores\": %d,\n  \"ocaml\": %S,\n  \"sizes\": [\n%s\n  ]\n}\n"
+      (Domain.recommended_domain_count ())
+      Sys.ocaml_version
+      (String.concat ",\n" (List.map fst rows))
   in
   write_bench ~model_methods:(List.fold_left max 0 sizes) "BENCH_scale.json"
     json;
-  if !failed then begin
+  if List.exists snd rows then begin
     prerr_endline
-      "error: scale gate failed (shard or mmap identity divergence)";
+      "error: scale gate failed (batch or mmap identity divergence)";
     exit 1
   end
 

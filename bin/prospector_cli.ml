@@ -76,7 +76,7 @@ let pool_of_jobs jobs =
   Prospector_parallel.Pool.create ~jobs
 
 let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt.reporter ());
+  Logs.set_reporter (Prospector.Util.log_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
 let read_file path =

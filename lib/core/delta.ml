@@ -397,8 +397,12 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
     | New e -> e.Graph.dst
   in
   let entry_costs = function
-    | Old j -> (fz.Graph.f_fwd_cost.{j}, fz.Graph.f_fwd_wcost.(j))
-    | New e -> (Elem.cost e.Graph.elem, wcost e.Graph.elem)
+    | Old j ->
+        ( fz.Graph.f_fwd_cost.{j},
+          fz.Graph.f_fwd_wcost.(j),
+          Elem.ref_free_count fz.Graph.f_fwd_edge.(j).Graph.elem )
+    | New e ->
+        (Elem.cost e.Graph.elem, wcost e.Graph.elem, Elem.ref_free_count e.Graph.elem)
   in
   (* Forward placement: copy the offset/end lanes (the only O(nodes) work on
      this path) and repoint each rewritten row at the append cursor. Nothing
@@ -432,20 +436,19 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
       done)
     rebuilt;
   (* Backward rows that actually change: for each rewritten source row,
-     diff its old vs new (cost, wcost) contribution per destination — the
+     diff its old vs new (cost, wcost, nfree) contribution per destination — the
      source id and the group's position in the row are fixed, so an equal
      contribution sequence means the backward row is already exact. *)
   let bchanged = Hashtbl.create 32 in
   List.iter
     (fun (u, es) ->
-      let oldc : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
+      let oldc : (int, (int * int * int) list) Hashtbl.t = Hashtbl.create 16 in
       for k = off.{u} to fin.{u} - 1 do
         let v = fz.Graph.f_fwd_dst.{k} in
         Hashtbl.replace oldc v
-          ((fz.Graph.f_fwd_cost.{k}, fz.Graph.f_fwd_wcost.(k))
-          :: Option.value ~default:[] (Hashtbl.find_opt oldc v))
+          (entry_costs (Old k) :: Option.value ~default:[] (Hashtbl.find_opt oldc v))
       done;
-      let newc : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
+      let newc : (int, (int * int * int) list) Hashtbl.t = Hashtbl.create 16 in
       Array.iter
         (fun entry ->
           let v = entry_dst entry in
@@ -547,7 +550,9 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
           incr k)
         es)
     rebuilt;
-  let bcost = fz.Graph.f_bwd_cost and bwc = fz.Graph.f_bwd_wcost in
+  let bcost = fz.Graph.f_bwd_cost
+  and bwc = fz.Graph.f_bwd_wcost
+  and bnfree = fz.Graph.f_bwd_nfree in
   List.iter
     (fun (v, es) ->
       let i = ref boff'.{v} in
@@ -557,11 +562,13 @@ let splice_once ~wcost ~h_new ~(fz : Graph.frozen)
           | Oldb j ->
               bsrc.{!i} <- bsrc.{j};
               bcost.{!i} <- bcost.{j};
-              bwc.(!i) <- bwc.(j)
+              bwc.(!i) <- bwc.(j);
+              bnfree.{!i} <- bnfree.{j}
           | Newb (u, k) ->
               bsrc.{!i} <- u;
               bcost.{!i} <- cost.{k};
-              bwc.(!i) <- wc.(k));
+              bwc.(!i) <- wc.(k);
+              bnfree.{!i} <- Elem.ref_free_count edge.(k).Graph.elem);
           incr i)
         es)
     brebuilt;
@@ -719,6 +726,7 @@ let rows_equal (a : Graph.frozen) (b : Graph.frozen) =
           a.Graph.f_bwd_src.{ka + i} <> b.Graph.f_bwd_src.{kb + i}
           || a.Graph.f_bwd_cost.{ka + i} <> b.Graph.f_bwd_cost.{kb + i}
           || a.Graph.f_bwd_wcost.(ka + i) <> b.Graph.f_bwd_wcost.(kb + i)
+          || a.Graph.f_bwd_nfree.{ka + i} <> b.Graph.f_bwd_nfree.{kb + i}
         then raise Exit
       done
     done;

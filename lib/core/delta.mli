@@ -82,4 +82,7 @@ val apply :
 
 val frozen_equal : Graph.frozen -> Graph.frozen -> bool
 (** Logical row-wise equality ignoring [f_generation] and physical layout
-    (row placement, tail slack) — the reload correctness oracle. *)
+    (row placement, tail slack) — the reload correctness oracle. Every
+    lane is compared per row: forward destinations, costs, weighted costs
+    and edges; backward sources, costs, weighted costs and free-variable
+    counts. *)

@@ -67,6 +67,30 @@ let free_vars = function
           ("receiver", Jtype.ref_ owner) :: free_params meth.Member.params ~skip:(Some i)
       | No_input -> invalid_arg "instance call needs an input")
 
+(* [free_vars] filtered to reference types, counted without building the
+   list: freezing calls this once per edge. *)
+let ref_params params ~skip =
+  let rec go i acc = function
+    | [] -> acc
+    | (_, ty) :: rest ->
+        go (i + 1) (if i <> skip && Jtype.is_reference ty then acc + 1 else acc) rest
+  in
+  go 0 0 params
+
+let ref_free_count = function
+  | Field_access _ | Widen _ | Downcast _ -> 0
+  | Static_call { meth; input; _ } ->
+      let skip = match input with Param i -> i | _ -> -1 in
+      ref_params meth.Member.params ~skip
+  | Ctor_call { ctor; input; _ } ->
+      let skip = match input with Param i -> i | _ -> -1 in
+      ref_params ctor.Member.cparams ~skip
+  | Instance_call { meth; input; _ } -> (
+      match input with
+      | Receiver -> ref_params meth.Member.params ~skip:(-1)
+      | Param i -> 1 + ref_params meth.Member.params ~skip:i
+      | No_input -> invalid_arg "instance call needs an input")
+
 let cost = function Widen _ -> 0 | _ -> 1
 
 let cost_scale = 1024

@@ -47,6 +47,10 @@ val free_vars : t -> (string * Jtype.t) list
     input, plus the receiver when the input is a parameter of an instance
     call. Names are the declared parameter names (or ["receiver"]). *)
 
+val ref_free_count : t -> int
+(** The number of reference-typed entries of {!free_vars} — the free
+    variables ranking charges — computed without allocating. *)
+
 val cost : t -> int
 (** Ranking cost of the elementary jungloid itself: 0 for {!Widen}, 1
     otherwise (free-variable charges are applied by {!Rank}). *)

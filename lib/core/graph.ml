@@ -165,6 +165,7 @@ type frozen = {
   f_bwd_src : int_array1;
   f_bwd_cost : cost_array1;
   f_bwd_wcost : int array;
+  f_bwd_nfree : cost_array1;
   f_fwd_used : int;
   f_bwd_used : int;
   f_plain : bool;
@@ -194,9 +195,12 @@ let dense_end (off : int_array1) n : int_array1 = Bigarray.Array1.sub off 1 n
    new cost model without any stored fwd->bwd mapping, and lets the
    serialized form carry only forward [Elem.t]s. Distance sweeps are
    relaxation-order independent, so the (deliberate) departure from [preds]
-   order is unobservable in results. *)
+   order is unobservable in results. The free-variable lane is counted
+   here, from the edge table, rather than kept forward: only the backward
+   charge sweep reads it. *)
 let derive_bwd ?cap ~n ~m ~(fwd_off : int_array1) ~(fwd_end : int_array1)
-    ~(fwd_dst : int_array1) ~(fwd_cost : cost_array1) ~fwd_wcost () =
+    ~(fwd_dst : int_array1) ~(fwd_cost : cost_array1) ~fwd_wcost
+    ~(fwd_edge : edge array) () =
   let cap = match cap with Some c -> c | None -> m in
   let bwd_off = ba_int (n + 1) in
   Bigarray.Array1.fill bwd_off 0;
@@ -212,6 +216,7 @@ let derive_bwd ?cap ~n ~m ~(fwd_off : int_array1) ~(fwd_end : int_array1)
   let bwd_src = ba_int cap in
   let bwd_cost = ba_cost cap in
   let bwd_wcost = Array.make cap 0 in
+  let bwd_nfree = ba_cost cap in
   let cursor = Array.make (max n 1) 0 in
   for u = 0 to n - 1 do
     for k = fwd_off.{u} to fwd_end.{u} - 1 do
@@ -220,10 +225,11 @@ let derive_bwd ?cap ~n ~m ~(fwd_off : int_array1) ~(fwd_end : int_array1)
       cursor.(v) <- cursor.(v) + 1;
       bwd_src.{j} <- u;
       bwd_cost.{j} <- fwd_cost.{k};
-      bwd_wcost.(j) <- fwd_wcost.(k)
+      bwd_wcost.(j) <- fwd_wcost.(k);
+      bwd_nfree.{j} <- Elem.ref_free_count fwd_edge.(k).elem
     done
   done;
-  (bwd_off, bwd_src, bwd_cost, bwd_wcost)
+  (bwd_off, bwd_src, bwd_cost, bwd_wcost, bwd_nfree)
 
 let freeze ?(wcost = default_wcost) t =
   let n = t.n in
@@ -257,8 +263,9 @@ let freeze ?(wcost = default_wcost) t =
       t.fwd.(u)
   done;
   let fwd_end = dense_end fwd_off n in
-  let bwd_off, bwd_src, bwd_cost, bwd_wcost =
-    derive_bwd ~cap ~n ~m ~fwd_off ~fwd_end ~fwd_dst ~fwd_cost ~fwd_wcost ()
+  let bwd_off, bwd_src, bwd_cost, bwd_wcost, bwd_nfree =
+    derive_bwd ~cap ~n ~m ~fwd_off ~fwd_end ~fwd_dst ~fwd_cost ~fwd_wcost
+      ~fwd_edge ()
   in
   for i = 0 to n - 1 do
     if t.info.(i).origin <> None then plain := false
@@ -278,6 +285,7 @@ let freeze ?(wcost = default_wcost) t =
     f_bwd_src = bwd_src;
     f_bwd_cost = bwd_cost;
     f_bwd_wcost = bwd_wcost;
+    f_bwd_nfree = bwd_nfree;
     f_fwd_used = m;
     f_bwd_used = m;
     f_plain = !plain;
@@ -367,6 +375,7 @@ let compact ?slack fz =
   let bsrc' = ba_int cap in
   let bcost' = ba_cost cap in
   let bwcost' = Array.make cap 0 in
+  let bnfree' = ba_cost cap in
   run_copy ~off:boff ~fin:bfin ~off':boff' (fun ~src0 ~dst0 ~len ->
       Bigarray.Array1.blit
         (Bigarray.Array1.sub fz.f_bwd_src src0 len)
@@ -374,7 +383,10 @@ let compact ?slack fz =
       Bigarray.Array1.blit
         (Bigarray.Array1.sub fz.f_bwd_cost src0 len)
         (Bigarray.Array1.sub bcost' dst0 len);
-      Array.blit fz.f_bwd_wcost src0 bwcost' dst0 len);
+      Array.blit fz.f_bwd_wcost src0 bwcost' dst0 len;
+      Bigarray.Array1.blit
+        (Bigarray.Array1.sub fz.f_bwd_nfree src0 len)
+        (Bigarray.Array1.sub bnfree' dst0 len));
   {
     fz with
     f_fwd_off = off';
@@ -388,6 +400,7 @@ let compact ?slack fz =
     f_bwd_src = bsrc';
     f_bwd_cost = bcost';
     f_bwd_wcost = bwcost';
+    f_bwd_nfree = bnfree';
     f_fwd_used = m;
     f_bwd_used = m;
     f_tail = Atomic.make false;

@@ -89,8 +89,9 @@ val real_nodes : t -> (Jtype.t * node) list
 
     {!freeze} captures the graph as an immutable compressed-sparse-row view,
     split into a {e hot} and a {e cold} half. The hot half — row offsets,
-    destinations/sources, and 0/1 paper costs — is packed into out-of-heap
-    {!Bigarray} lanes (native-word ids, uint16 costs): the GC never scans
+    destinations/sources, 0/1 paper costs and backward free-variable counts
+    — is packed into out-of-heap {!Bigarray} lanes (native-word ids, uint16
+    costs and counts): the GC never scans
     them, they mmap straight from a {!Serialize} snapshot, and they are safe
     to share read-only across domains. The cold half — the boxed {!edge}
     table, weighted costs, node metadata, and a private copy of the
@@ -149,6 +150,12 @@ type frozen = {
   f_bwd_wcost : int array;
       (** weighted edge cost, aligned with [f_bwd_src] — backward rows carry
           no [edge], so weighted distance-to-target sweeps need it baked in *)
+  f_bwd_nfree : cost_array1;
+      (** reference-typed free variables of each edge
+          ({!Elem.ref_free_count}), aligned with [f_bwd_src] — what the
+          charge-aware distance sweeps ({!Search.Csr.charged_distances_to})
+          add to the cost; independent of the cost model, so {!rebake}
+          leaves it alone *)
   f_fwd_used : int;
       (** physical high-water mark: lane indices at or past this are free
           tail slack (capacity is the lanes' dimension) *)
@@ -176,10 +183,12 @@ val derive_bwd :
   fwd_dst:int_array1 ->
   fwd_cost:cost_array1 ->
   fwd_wcost:int array ->
+  fwd_edge:edge array ->
   unit ->
-  int_array1 * int_array1 * cost_array1 * int array
-(** [(bwd_off, bwd_src, bwd_cost, bwd_wcost)] derived from forward rows by a
-    counting sort on destination — the canonical backward representation
+  int_array1 * int_array1 * cost_array1 * int array * cost_array1
+(** [(bwd_off, bwd_src, bwd_cost, bwd_wcost, bwd_nfree)] derived from
+    forward rows by a counting sort on destination, the free-variable
+    counts read off [fwd_edge] — the canonical backward representation
     {!freeze} and {!rebake} use, exposed for builders of derived snapshots
     ({!Shard}). The output is dense; [cap] (default [m]) sizes the physical
     lanes, leaving tail slack past index [m - 1]. *)

@@ -342,31 +342,50 @@ let viable_of ~reach ~target =
    result set is never mistaken for a complete one. *)
 type info = {
   candidates : int;
+  expanded : int;
   truncated : bool;
   warnings : string list;
 }
 
-let no_info = { candidates = 0; truncated = false; warnings = [] }
+let no_info = { candidates = 0; expanded = 0; truncated = false; warnings = [] }
+
+(* The least charge a reference-typed free variable can get: the constant
+   [freevar_cost], or under the estimator (which charges [max 1 d] or the
+   constant) [min 1 freevar_cost]. Charging [h] this much per variable
+   keeps it a lower bound. Negative costs never reach best-first (see
+   [effective_mode]); the clamp only keeps the sweep's weights
+   non-negative. *)
+let charge_unit settings =
+  let c = max 0 settings.weights.Rank.freevar_cost in
+  if settings.estimate_freevars then min 1 c else c
 
 (* The best-first generator for one query shape, positioned exactly where
    [Search.Csr.enumerate] sits in the exhaustive pipeline. [sources] carries
-   the per-source budget (shortest-cost-from-that-source + slack). With an
-   [edge_cost] model the stream runs in weighted mode: priorities use the
-   exact weighted distances (over the snapshot's baked costs) while the
-   budget prune stays on the paper [dist_to], so the candidate set is
-   unchanged and only the certified order follows the mined costs. *)
+   the per-source budget (shortest-cost-from-that-source + slack). The heap
+   priority is charge-aware — its distance to the target charges every
+   free variable [charge_unit] — while the budget prune stays on the paper
+   [dist_to]. With an [edge_cost] model the stream runs in weighted mode:
+   priorities use the weighted distances (over the snapshot's baked costs,
+   the charge folded in at [cost_scale]), so the candidate set is unchanged
+   and only the certified order follows the mined costs. *)
 let topk_stream ?memo ?scratch ~settings ~hierarchy ~freevar_cost_of ?edge_cost
     ?cone fz ~dist_to ~sources ~target =
+  let unit = charge_unit settings in
   let weighted =
     Option.map
       (fun _ ->
         {
-          Topk.wdist_to = Search.Csr.weighted_distances_to ?scratch ?cone fz ~target;
+          Topk.wdist_to =
+            Search.Csr.weighted_distances_to ?scratch ?cone ~unit fz ~target;
           edge_wcost = (fun ord _ -> fz.Graph.f_fwd_wcost.(ord));
         })
       edge_cost
   in
-  Topk.start ?freevar_cost_of ?weighted ?memo ~weights:settings.weights
+  let h =
+    if unit = 0 || Option.is_some weighted then None
+    else Some (Search.Csr.charged_distances_to ?scratch ?cone fz ~unit ~target)
+  in
+  Topk.start ?freevar_cost_of ?weighted ?memo ?h ~weights:settings.weights
     ~hierarchy ~node_type:(Graph.frozen_node_type fz)
     ~iter_succs:(fun u f ->
       for k = fz.Graph.f_fwd_off.{u} to fz.Graph.f_fwd_end.{u} - 1 do
@@ -477,7 +496,12 @@ let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
               ( rank_and_render ~settings ~hierarchy ~freevar_cost_of ?edge_cost
                   ~input_name:(fun _ -> None)
                   ~verify ~pfilter (Jungloid.of_frozen_path fz) paths,
-                { candidates = List.length paths; truncated = !truncated; warnings } )
+                {
+                  candidates = List.length paths;
+                  expanded = 0;
+                  truncated = !truncated;
+                  warnings;
+                } )
           | BestFirst ->
               let dist_to = Search.Csr.distances_to ~scratch ?cone fz ~target:dst in
               let dsrc = Search.Dist.get dist_to src in
@@ -499,12 +523,15 @@ let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
                     ~verify ~pfilter st
                 in
                 Log.debug (fun m ->
-                    m "query (%s, %s): %d candidates materialized (best-first)"
+                    m
+                      "query (%s, %s): %d candidates materialized, %d prefixes \
+                       expanded (best-first)"
                       (Jtype.to_string q.tin) (Jtype.to_string q.tout)
-                      (Topk.materialized st));
+                      (Topk.materialized st) (Topk.expanded st));
                 ( results,
                   {
                     candidates = Topk.materialized st;
+                    expanded = Topk.expanded st;
                     truncated = Topk.truncated st;
                     warnings;
                   } )
@@ -1169,7 +1196,12 @@ let run_cached ?(settings = default_settings) e q =
    sequential execution — not just the returned results. A key that phase C
    misses but phase B did not precompute (possible when replay evictions
    shuffle the cache differently than phase A predicted) is recomputed
-   inline, exactly as [jobs = 1] would have. *)
+   inline, exactly as [jobs = 1] would have.
+
+   Every miss runs on the whole snapshot with the reach index, as the
+   daemon's readers do: at 100k methods that is faster than
+   routing misses to package-cone shard sub-snapshots ([Shard]), whose
+   construction costs more than the reach cone leaves to save. *)
 let run_batch ?(settings = default_settings) ?pool e qs =
   validate e;
   let pool = match pool with Some p -> p | None -> e.e_pool in
@@ -1183,34 +1215,6 @@ let run_batch ?(settings = default_settings) ?pool e qs =
       run ~settings ?reach ~frozen ?edge_cost:e.e_edge_cost
         ?protocol_check:e.e_protocol_check ~hierarchy:e.e_hierarchy q
     in
-    (* Scatter-gather: a query whose target has a package runs on that
-       package group's shard — a sub-snapshot containing the target's whole
-       reachability cone, so the answer is byte-identical to the full-graph
-       one (test_scale.ml pins this against the jobs = 1 oracle). Queries
-       with packageless targets, oversized shards, or a freevar estimator
-       (which measures distances from [void] over the whole graph) fall
-       back to the full snapshot. *)
-    let shards = if settings.estimate_freevars then None else engine_shards e in
-    let solve_routed (q, sub) =
-      match sub with
-      | None -> solve q
-      | Some sfz ->
-          (* No reach index for the shard: its whole point is that the
-             sub-graph is close to the target's cone already. *)
-          run ~settings ~frozen:sfz ?edge_cost:e.e_edge_cost
-            ?protocol_check:e.e_protocol_check ~hierarchy:e.e_hierarchy q
-    in
-    let route q =
-      match shards with
-      | None -> None
-      | Some sh -> (
-          match Graph.frozen_find_type_node frozen q.tout with
-          | None -> None
-          | Some dst -> (
-              match Shard.route sh ~target:dst with
-              | None -> None
-              | Some g -> Shard.sub sh g))
-    in
     let seen = Hashtbl.create 64 in
     let misses =
       List.filter
@@ -1223,13 +1227,10 @@ let run_batch ?(settings = default_settings) ?pool e qs =
           end)
         qs
     in
-    (* Shard sub-snapshots are forced here, sequentially, before the fan-out
-       — workers only ever read published shards. *)
-    let routed = List.map (fun q -> (q, route q)) misses in
     let precomputed = Hashtbl.create 64 in
     List.iter
       (fun (k, r) -> Hashtbl.replace precomputed k r)
-      (Pool.map_list pool (fun ((q, _) as rq) -> (key q, solve_routed rq)) routed);
+      (Pool.map_list pool (fun q -> (key q, solve q)) misses);
     List.map
       (fun q ->
         ( q,

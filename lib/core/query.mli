@@ -132,6 +132,9 @@ type info = {
       (** candidates the search materialized into jungloids: every
           enumerated path under [Exhaustive], only the candidates actually
           needed to certify the top results under [BestFirst] *)
+  expanded : int;
+      (** prefixes the best-first search popped off its heap ({!Topk.expanded});
+          0 under [Exhaustive] *)
   truncated : bool;
       (** the search stopped at [settings.limit] — the result list may be
           missing better-ranked solutions and callers should say so *)
@@ -375,8 +378,8 @@ val engine_shards : engine -> Shard.t option
 (** The engine's package-cone shard plan for the current snapshot, planned
     on first use (shard contents stay lazy inside the plan); [None] when
     sharding is unavailable — no reach index ([prune:false]), or too few
-    packages. {!run_batch} routes through this; it is exposed for the
-    scale bench's shard statistics. *)
+    packages. No query path routes through it; it is kept for the
+    benchmark's [shard.routed_ratio] statistic. *)
 
 val run_cached : ?settings:settings -> engine -> t -> result list
 (** {!run} through the cache: a hit costs one hash lookup; a miss runs the
@@ -400,13 +403,11 @@ val run_batch :
     byte-identical to [jobs = 1] — parallelism is observable only as
     wall-clock.
 
-    Misses are additionally routed through the engine's package-cone shard
-    plan ({!engine_shards}): a query whose target type has a package runs
-    on the target's package-group sub-snapshot, which contains the whole
-    reachability cone of the target by construction, so results stay
-    byte-identical to the [jobs = 1] oracle ([test_scale.ml] pins this on
-    generated worlds). Packageless targets, oversized shards, and
-    [settings.estimate_freevars] runs fall back to the full snapshot. *)
+    Every miss runs on the engine's whole snapshot with its reach index,
+    exactly as {!run_cached} would compute it; the reach cone already
+    confines each search to its target's reachability cone, so the batch
+    does no shard routing ({!engine_shards} stays for the benchmark's shard
+    statistics). *)
 
 val run_multi_cached :
   ?settings:settings ->

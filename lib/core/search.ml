@@ -279,6 +279,16 @@ module Csr = struct
   let dist_of (lane : Scratch.lane) =
     { Dist.d = lane.Scratch.ld; stamp = lane.Scratch.lstamp; epoch = lane.Scratch.lepoch }
 
+  (* The cone's component map and bitset, probed inline by every sweep,
+     and whether there is anything to probe. *)
+  let cone_lanes (cone : Reach.cone option) =
+    let comp, cbits =
+      match cone with
+      | Some c -> (c.Reach.cone_comp, c.Reach.cone_bits)
+      | None -> ([||], [||])
+    in
+    (comp, cbits, Array.length comp > 0)
+
   (* Shared 0-1 BFS core over one direction of the CSR: [off]/[adj]/[cost]
      are either the forward or the backward lanes. The viability check is
      the cone's bitset probed inline — two array loads per relaxed edge, no
@@ -291,12 +301,7 @@ module Csr = struct
     let dist = lane.Scratch.ld
     and stamp = lane.Scratch.lstamp
     and epoch = lane.Scratch.lepoch in
-    let comp, cbits =
-      match (cone : Reach.cone option) with
-      | Some c -> (c.Reach.cone_comp, c.Reach.cone_bits)
-      | None -> ([||], [||])
-    in
-    let pruned = Array.length comp > 0 in
+    let comp, cbits, pruned = cone_lanes cone in
     List.iter
       (fun s ->
         if s >= 0 && s < n && (stamp.(s) <> epoch || dist.(s) > 0) then begin
@@ -350,26 +355,45 @@ module Csr = struct
       ~fin:fz.Graph.f_bwd_end ~adj:fz.Graph.f_bwd_src ~cost:fz.Graph.f_bwd_cost
       ~cone
 
-  (* Weighted (mined) distances to the target, over the baked-in
-     [f_bwd_wcost] — the backward rows carry no [edge], so the cost model
-     must have been supplied at freeze time. *)
-  let weighted_distances_to ?scratch ?cone fz ~target =
+  (* The charge-aware sweep: cheapest [cost + unit * nfree] to the target,
+     over the backward lanes, with the cone probed inline as in [bfs_into]. *)
+  let charged_distances_to ?scratch ?cone fz ~unit ~target =
     let off = fz.Graph.f_bwd_off in
     let fin = fz.Graph.f_bwd_end in
     let adj = fz.Graph.f_bwd_src in
-    let wcost = fz.Graph.f_bwd_wcost in
+    let cost = fz.Graph.f_bwd_cost in
+    let nfree = fz.Graph.f_bwd_nfree in
+    let unit = max unit 0 in
     let n = fz.Graph.f_nodes in
-    let comp, cbits =
-      match (cone : Reach.cone option) with
-      | Some c -> (c.Reach.cone_comp, c.Reach.cone_bits)
-      | None -> ([||], [||])
-    in
-    let pruned = Array.length comp > 0 in
+    let comp, cbits, pruned = cone_lanes cone in
     let lane = lane_of scratch n in
     dijkstra_into lane n ~starts:[ target ] ~next:(fun u f ->
         for k = off.{u} to fin.{u} - 1 do
           let v = adj.{k} in
-          if (not pruned) || Reach.Bits.mem cbits comp.(v) then f wcost.(k) v
+          if (not pruned) || Reach.Bits.mem cbits comp.(v) then
+            f (cost.{k} + (unit * nfree.{k})) v
+        done);
+    dist_of lane
+
+  (* Weighted (mined) distances to the target, over the baked-in
+     [f_bwd_wcost] — the backward rows carry no [edge], so the cost model
+     must have been supplied at freeze time. [unit] folds the free-variable
+     charge in, at the rank layer's [cost_scale] per variable. *)
+  let weighted_distances_to ?scratch ?cone ?(unit = 0) fz ~target =
+    let off = fz.Graph.f_bwd_off in
+    let fin = fz.Graph.f_bwd_end in
+    let adj = fz.Graph.f_bwd_src in
+    let wcost = fz.Graph.f_bwd_wcost in
+    let nfree = fz.Graph.f_bwd_nfree in
+    let wunit = Elem.cost_scale * max unit 0 in
+    let n = fz.Graph.f_nodes in
+    let comp, cbits, pruned = cone_lanes cone in
+    let lane = lane_of scratch n in
+    dijkstra_into lane n ~starts:[ target ] ~next:(fun u f ->
+        for k = off.{u} to fin.{u} - 1 do
+          let v = adj.{k} in
+          if (not pruned) || Reach.Bits.mem cbits comp.(v) then
+            f (wcost.(k) + (wunit * nfree.{k})) v
         done);
     dist_of lane
 

@@ -102,18 +102,37 @@ module Csr : sig
     Dist.t
   (** Cost of the cheapest path from the nearest source to each node. *)
 
+  val charged_distances_to :
+    ?scratch:Scratch.t ->
+    ?cone:Reach.cone ->
+    Graph.frozen ->
+    unit:int ->
+    target:Graph.node ->
+    Dist.t
+  (** [h(v)]: the cheapest [cost + unit * nfree] over paths from each node
+      to [target], [nfree] being the snapshot's [f_bwd_nfree] lane — the
+      paper length with every reference-typed free variable charged at
+      least [unit]. [max_int] when unreachable; reachability is exactly
+      {!distances_to}'s. Exact (Dijkstra), so consistent
+      ([h(u) <= cost(e) + unit * nfree(e) + h(v)] on every edge) and never
+      below {!distances_to} — the priority {!Topk.start}'s [?h] wants. *)
+
   val weighted_distances_to :
     ?scratch:Scratch.t ->
     ?cone:Reach.cone ->
+    ?unit:int ->
     Graph.frozen ->
     target:Graph.node ->
     Dist.t
   (** Exact cheapest weighted cost from each node to [target] (Dijkstra)
       under the non-negative cost model baked into the snapshot's
-      [f_bwd_wcost] at freeze time ({!Graph.freeze}'s [?wcost]); [max_int]
-      when unreachable. Used as the admissible heuristic of weighted
-      best-first search: exact distances satisfy the triangle inequality,
-      so the resulting priority is consistent. *)
+      [f_bwd_wcost] at freeze time ({!Graph.freeze}'s [?wcost]), each edge
+      charged [Elem.cost_scale * unit] more per reference-typed free
+      variable ([unit] default 0); [max_int] when unreachable. Used as the
+      admissible heuristic of weighted best-first search: exact distances
+      satisfy the triangle inequality, so the resulting priority is
+      consistent as long as [unit] does not exceed the per-variable
+      charge. *)
 
   val shortest_cost :
     ?scratch:Scratch.t ->

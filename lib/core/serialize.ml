@@ -89,16 +89,21 @@ let load_reach path =
      bytes 16..23    cold-blob length (int64 LE)
      bytes 24..      Marshal'd [frozen_cold] (heap half of the snapshot)
      (zero padding to a page boundary)
-     6 raw segments, each starting on a page boundary, in order:
+     7 raw segments, each starting on a page boundary, in order:
        fwd_off   (n+1) x int64 LE
        fwd_dst   m     x int64 LE
        fwd_cost  m     x uint16 LE
        bwd_off   (n+1) x int64 LE
        bwd_src   m     x int64 LE
        bwd_cost  m     x uint16 LE
+       bwd_nfree m     x uint16 LE   (since version 3)
 
-   Segment offsets are a pure function of (n, m), so the loader seeks
-   straight to them. With [~mmap:true] the six segments are mapped
+   The magic names the layout family; [fc_version] — the first field of
+   the cold blob, read before anything else — names the segment list. A
+   version-2 file (six segments, no free-variable lane) is refused with
+   [Bad_version] and the caller rebuilds. Segment offsets are a pure
+   function of (n, m), so the loader seeks straight to them. With
+   [~mmap:true] the segments are mapped
    read-only and shared: a warm start touches only the pages a query
    actually walks, and every server domain shares one physical copy. The
    int64 cells match Bigarray's native-int layout on 64-bit little-endian
@@ -106,7 +111,7 @@ let load_reach path =
 
 let frozen_magic = "PROSPECTOR-FROZ2"
 
-let frozen_version = 2
+let frozen_version = 3
 
 let page = 4096
 
@@ -137,7 +142,8 @@ let segment_layout ~cold_end ~n ~m =
   let bwd_off = align_page (fwd_cost + cost_bytes) in
   let bwd_src = align_page (bwd_off + off_bytes) in
   let bwd_cost = align_page (bwd_src + id_bytes) in
-  let total = align_page (bwd_cost + cost_bytes) in
+  let bwd_nfree = align_page (bwd_cost + cost_bytes) in
+  let total = align_page (bwd_nfree + cost_bytes) in
   ( [|
       (fwd_off, off_bytes);
       (fwd_dst, id_bytes);
@@ -145,6 +151,7 @@ let segment_layout ~cold_end ~n ~m =
       (bwd_off, off_bytes);
       (bwd_src, id_bytes);
       (bwd_cost, cost_bytes);
+      (bwd_nfree, cost_bytes);
     |],
     total )
 
@@ -211,6 +218,7 @@ let save_frozen (fz : Graph.frozen) path =
           int_seg_bytes fz.Graph.f_bwd_off;
           int_seg_bytes fz.Graph.f_bwd_src;
           cost_seg_bytes fz.Graph.f_bwd_cost;
+          cost_seg_bytes fz.Graph.f_bwd_nfree;
         |]
       in
       Array.iteri
@@ -258,7 +266,7 @@ let read_cost_seg ic ~pos ~len =
   a
 
 let frozen_of_parts ~(cold : frozen_cold) ~fwd_off ~fwd_dst ~fwd_cost ~bwd_off
-    ~bwd_src ~bwd_cost =
+    ~bwd_src ~bwd_cost ~bwd_nfree =
   let n = cold.fc_nodes and m = cold.fc_edges in
   if
     Array.length cold.fc_fwd_elems <> m
@@ -318,6 +326,7 @@ let frozen_of_parts ~(cold : frozen_cold) ~fwd_off ~fwd_dst ~fwd_cost ~bwd_off
           f_bwd_src = bwd_src;
           f_bwd_cost = bwd_cost;
           f_bwd_wcost = cold.fc_bwd_wcost;
+          f_bwd_nfree = bwd_nfree;
           (* zero slack: a mapped snapshot's lanes are file-backed, so the
              first patch must always take the copying path *)
           f_fwd_used = m;
@@ -389,7 +398,8 @@ let load_frozen ?(mmap = true) path =
                                 co 2 ~len:m,
                                 io 3 ~len:(n + 1),
                                 io 4 ~len:m,
-                                co 5 ~len:m ))
+                                co 5 ~len:m,
+                                co 6 ~len:m ))
                         with
                         | hot -> Ok hot
                         | exception Unix.Unix_error (e, _, _) ->
@@ -404,17 +414,24 @@ let load_frozen ?(mmap = true) path =
                             co 2 ~len:m,
                             io 3 ~len:(n + 1),
                             io 4 ~len:m,
-                            co 5 ~len:m )
+                            co 5 ~len:m,
+                            co 6 ~len:m )
                         with
                         | hot -> Ok hot
                         | exception End_of_file ->
                             Error (Corrupt "truncated hot segments")
                     in
-                    let fwd_off, fwd_dst, fwd_cost, bwd_off, bwd_src, bwd_cost =
+                    let ( fwd_off,
+                          fwd_dst,
+                          fwd_cost,
+                          bwd_off,
+                          bwd_src,
+                          bwd_cost,
+                          bwd_nfree ) =
                       hot
                     in
                     frozen_of_parts ~cold ~fwd_off ~fwd_dst ~fwd_cost ~bwd_off
-                      ~bwd_src ~bwd_cost
+                      ~bwd_src ~bwd_cost ~bwd_nfree
                   end
                 end
               end

@@ -44,7 +44,10 @@ val save_frozen : Graph.frozen -> string -> int
     different cost model re-bakes with {!Graph.rebake}. *)
 
 val load_frozen : ?mmap:bool -> string -> (Graph.frozen, error) result
-(** Load a v2 snapshot. With [mmap] (the default) the six hot segments are
+(** Load a snapshot of the current format version, 3 (version 3 added the
+    backward free-variable lane, [Graph.f_bwd_nfree]; a version-2 file is
+    refused with [Bad_version { found = 2; expected = 3 }] rather than
+    loaded without it). With [mmap] (the default) the seven hot segments are
     mapped read-only and lazily paged; with [~mmap:false] they are read
     into fresh heap-external arrays (bit-identical result — the property
     suite checks both against the original freeze). File size and segment

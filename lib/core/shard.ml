@@ -176,9 +176,10 @@ let build t s =
         end
       done
     done;
-    let bwd_off', bwd_src', bwd_cost', bwd_wcost' =
+    let bwd_off', bwd_src', bwd_cost', bwd_wcost', bwd_nfree' =
       Graph.derive_bwd ~n:n' ~m:m' ~fwd_off:fwd_off' ~fwd_end:(Bigarray.Array1.sub fwd_off' 1 n')
-        ~fwd_dst:fwd_dst' ~fwd_cost:fwd_cost' ~fwd_wcost:fwd_wcost' ()
+        ~fwd_dst:fwd_dst' ~fwd_cost:fwd_cost' ~fwd_wcost:fwd_wcost'
+        ~fwd_edge:fwd_edge' ()
     in
     let types' = Array.map (fun u -> fz.Graph.f_types.(u)) glob in
     let origins' = Array.map (fun u -> fz.Graph.f_origins.(u)) glob in
@@ -211,6 +212,7 @@ let build t s =
         f_bwd_src = bwd_src';
         f_bwd_cost = bwd_cost';
         f_bwd_wcost = bwd_wcost';
+        f_bwd_nfree = bwd_nfree';
         f_fwd_used = m';
         f_bwd_used = m';
         f_plain = fz.Graph.f_plain;

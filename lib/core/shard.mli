@@ -9,9 +9,12 @@
     DP over the SCC condensation ([gmask(c) = own groups ∪ successors']).
     By construction the cone of any target in group [s] is a subset of
     shard [s], so routing a query to its target's shard is
-    result-preserving; {!Query.run_batch} uses it for scatter-gather
-    dispatch, falling back to the whole graph for packageless targets and
-    shards that would cover most of the graph anyway.
+    result-preserving ([test_scale.ml] checks shard answers against the
+    whole snapshot). No query path routes through shards: at 100k methods,
+    searching the whole snapshot inside the target's {!Reach} cone is
+    faster than building sub-snapshots. The module is kept for
+    the benchmark's [shard.routed_ratio] statistic, which plans and routes
+    through it.
 
     Sub-snapshots keep the parent's node order (ids remapped monotonically)
     and per-row edge order, and their edge records share the parent's
@@ -43,9 +46,8 @@ val member_count : t -> int -> int
 val sub : t -> int -> Graph.frozen option
 (** The shard's induced sub-snapshot, built on first use and cached.
     [None] when the shard exceeds [threshold] — the caller should run the
-    query on the whole snapshot instead. Safe to call concurrently only
-    before publication; {!Query.run_batch} forces all needed shards
-    sequentially before fanning out. *)
+    query on the whole snapshot instead. Not safe to call concurrently:
+    force the shards a fan-out needs before it starts. *)
 
 val to_parent : t -> int -> Graph.node array
 (** For a built shard, the sub-id -> parent-id map ([[||]] for [Whole] or

@@ -7,14 +7,21 @@
    the frontier of path *prefixes* lives in a binary min-heap ordered by an
    admissible priority
 
-       f(prefix) = cost(prefix) + charge(prefix) + dist_to(head)
+       f(prefix) = cost(prefix) + charge(prefix) + h(head)
 
-   where [dist_to] is the exact 0-1-BFS distance to the target and [charge]
-   the free-variable charge accumulated so far. Both edge cost and charge
-   are non-negative and [dist_to] is consistent (it satisfies the triangle
-   inequality along every edge the search can take), so f never decreases
-   along an expansion and completed paths pop with f equal to their final
-   Rank length — in nondecreasing length order. Prefixes are stored in a
+   where [charge] is the free-variable charge accumulated so far and [h]
+   the cheapest cost + unit * (reference-typed free variables) from the
+   head to the target ([Search.Csr.charged_distances_to]; [unit] is the
+   least a free variable can be charged), or the plain 0-1 [dist_to] when
+   the caller passes none. Edge cost and charge are non-negative and [h]
+   is consistent (h(u) <= cost(e) + charge(e) + h(v) along every edge the
+   search can take), so f never decreases along an expansion and completed
+   paths pop with f equal to their final Rank length — in nondecreasing
+   length order. Folding the charge into [h] matters at scale: with
+   [dist_to] alone the heap pops every prefix that looks cheap only until
+   it meets a free variable. The budget prune stays on cost + [dist_to]
+   (see [expand]): [h] bounds the charged length, not the cost, so pruning
+   on it would drop paths the exhaustive DFS keeps. Prefixes are stored in a
    shared-prefix arena of parent-pointer ints (one row per prefix, flat
    parallel arrays), so extending a path is O(1) and allocation-free: no
    [List.rev], no cons garbage, no per-prefix jungloid.
@@ -305,7 +312,8 @@ type t = {
   node_type : Graph.node -> Jtype.t;
   iter_succs : Graph.node -> (int -> Graph.edge -> unit) -> unit;
   materialize : Search.path -> Jungloid.t;
-  dist_to : Search.Dist.t;
+  dist_to : Search.Dist.t;  (* the budget prune's distance *)
+  h : Search.Dist.t;  (* the priority's distance: [?h], else [dist_to] *)
   weighted : weighted_mode option;
   target : Graph.node;
   limit : int;
@@ -318,6 +326,7 @@ type t = {
   mutable groups : int array list;
   mutable emit : candidate list;
   mutable completed : int;
+  mutable expanded_n : int;
   mutable materialized_n : int;
   mutable truncated_f : bool;
   mutable stopped : bool;
@@ -406,7 +415,7 @@ let add_root st node budget =
   Ivec.push st.m_budget budget;
   let prio =
     match st.weighted with
-    | None -> Search.Dist.get st.dist_to node
+    | None -> Search.Dist.get st.h node
     | Some w -> Search.Dist.get w.wdist_to node
   in
   Heap.add st.heap ~prio id
@@ -458,7 +467,7 @@ let append st parent ord (e : Graph.edge) =
   Ivec.push st.m_budget (Ivec.get st.m_budget parent);
   let prio =
     match st.weighted with
-    | None -> cost + charge + Search.Dist.get st.dist_to e.Graph.dst
+    | None -> cost + charge + Search.Dist.get st.h e.Graph.dst
     | Some w ->
         wcost + (Elem.cost_scale * charge) + Search.Dist.get w.wdist_to e.Graph.dst
   in
@@ -597,6 +606,7 @@ let rec refill st =
           else begin
             let f = Heap.min_prio st.heap in
             let id = Heap.pop st.heap in
+            st.expanded_n <- st.expanded_n + 1;
             let u = Arena.node st.arena id in
             if u = st.target && Arena.parent st.arena id >= 0 then begin
               (* A completed (or dead: pure-widening, cost-0) path. Like
@@ -629,9 +639,11 @@ let next st =
 
 let materialized st = st.materialized_n
 
+let expanded st = st.expanded_n
+
 let truncated st = st.truncated_f
 
-let start ?freevar_cost_of ?weighted ?memo ~weights ~hierarchy ~node_type
+let start ?freevar_cost_of ?weighted ?memo ?h ~weights ~hierarchy ~node_type
     ~iter_succs ~edge_slots ~materialize ~dist_to ~sources ~target ~limit () =
   let memo =
     match memo with
@@ -662,6 +674,7 @@ let start ?freevar_cost_of ?weighted ?memo ~weights ~hierarchy ~node_type
       iter_succs;
       materialize;
       dist_to;
+      h = Option.value h ~default:dist_to;
       weighted;
       target;
       limit;
@@ -670,6 +683,7 @@ let start ?freevar_cost_of ?weighted ?memo ~weights ~hierarchy ~node_type
       groups = [];
       emit = [];
       completed = 0;
+      expanded_n = 0;
       materialized_n = 0;
       truncated_f = false;
       stopped = false;

@@ -3,7 +3,10 @@
     The lazy alternative to {!Search.Csr.enumerate} + {!Rank.sort}: path
     prefixes live in a shared-prefix arena (parent-pointer rows in flat int
     arrays) under a binary min-heap ordered by the admissible priority
-    [cost + free-variable charge + dist_to], and the Rank tiebreak
+    [f = cost + charge + h] — [charge] the free-variable charge paid so
+    far, [h] a consistent lower bound on the charged length still to go
+    ([?h] of {!start}, by default the plain [dist_to]) — while the budget
+    prune stays on [cost + dist_to]. The Rank tiebreak
     components are maintained incrementally per appended edge. Completed
     paths are therefore delivered in {e exact} {!Rank.compare_key} order —
     byte-identical to sorting the exhaustive enumeration — while the search
@@ -13,7 +16,10 @@
 
     Streams from one generator are consumer-paced: each {!next} call pops
     and expands only until the next candidate's position is certified
-    (all paths of its length completed, its numeric-tie group resolved). *)
+    (all paths of its length completed, its numeric-tie group resolved).
+    The charge-aware [h] ({!Search.Csr.charged_distances_to}) is what keeps
+    the pops near [k]: with plain [dist_to], every prefix that looks cheap
+    only until it meets a free variable is popped and expanded first. *)
 
 module Heap : sig
   (** Binary min-heap over [(priority, payload)] int pairs in parallel
@@ -106,7 +112,9 @@ type weighted_mode = {
           {!Rank.key}, and with the model [wdist_to] was computed under *)
 }
 (** Mined-ranking mode: the heap priority becomes weighted cost + scaled
-    charge + [wdist_to], so candidates are certified in exact weighted
+    charge + [wdist_to] — itself charge-aware when computed with
+    {!Search.Csr.weighted_distances_to}'s [?unit] — so candidates are
+    certified in exact weighted
     {!Rank.compare_key} order. The enumeration budget stays on the paper
     cost, keeping the candidate {e set} byte-identical to the exhaustive
     pipeline's — only the order changes. *)
@@ -115,6 +123,7 @@ val start :
   ?freevar_cost_of:(Javamodel.Jtype.t -> int) ->
   ?weighted:weighted_mode ->
   ?memo:Memo.t ->
+  ?h:Search.Dist.t ->
   weights:Rank.weights ->
   hierarchy:Javamodel.Hierarchy.t ->
   node_type:(Graph.node -> Javamodel.Jtype.t) ->
@@ -140,6 +149,17 @@ val start :
     budgets them); a node must appear at most once. [limit] caps completed
     candidates exactly as the DFS caps enumerated paths.
 
+    [h] (paper mode only; default [dist_to]) replaces [dist_to] in the
+    heap priority, [f = cost + charge + h(head)]. It must be finite
+    exactly where [dist_to] is, zero at [target], and consistent with the
+    charges: [h(u) <= cost(e) + charge(e) + h(v)] on every edge the search
+    can take ({!Search.Csr.charged_distances_to} with [unit] no larger than
+    any per-variable charge, over the same cone, qualifies). Then [f] never
+    decreases along an expansion, completed paths still pop at their Rank
+    length, and the output is identical with and without it — only the
+    number of {!expanded} prefixes drops. The budget prune stays on
+    [dist_to]: [h] is no bound on cost alone.
+
     [weights]/[freevar_cost_of] must match what the consumer passes to
     {!Rank.key}, or the certified order and the final keys disagree.
     Negative charges break priority monotonicity — callers gate on
@@ -155,6 +175,10 @@ val materialized : t -> int
 (** How many candidates were materialized into jungloids so far — the
     laziness metric ([BENCH_topk.json] compares it against the exhaustive
     enumeration count). *)
+
+val expanded : t -> int
+(** How many prefixes were popped off the heap so far — the work metric
+    the charge-aware [?h] cuts. *)
 
 val truncated : t -> bool
 (** Whether the search stopped at [limit] completed candidates. *)

@@ -46,3 +46,26 @@ let write_file_atomic path write =
       close_out_noerr oc;
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
+
+(* Logs_fmt's default reporter prints through the one shared
+   [Format.err_formatter], whose pretty-printing queue is not domain-safe:
+   pool workers logging at once corrupt it (an uncaught [Queue.Empty]
+   mid-print). Each report is formatted into its own buffer instead, and
+   the finished line is written with one locked channel write. *)
+let log_lock = Mutex.create ()
+
+let log_reporter ?(app = stdout) ?(dst = stderr) () =
+  let report src level ~over k msgf =
+    let buf = Buffer.create 256 in
+    let ppf = Format.formatter_of_buffer buf in
+    let oc = if level = Logs.App then app else dst in
+    let write () =
+      Mutex.protect log_lock (fun () ->
+          Out_channel.output_string oc (Buffer.contents buf);
+          Out_channel.flush oc);
+      over ()
+    in
+    (Logs_fmt.reporter ~app:ppf ~dst:ppf ()).Logs.report src level ~over:write k
+      msgf
+  in
+  { Logs.report }

@@ -13,3 +13,11 @@ val write_file_atomic : string -> (out_channel -> 'a) -> 'a
     rewriting the file in place would truncate them from under the
     mapping (a [SIGBUS] on the next page touch). On an exception the
     temporary is removed and the exception re-raised. *)
+
+val log_reporter : ?app:out_channel -> ?dst:out_channel -> unit -> Logs.reporter
+(** [Logs_fmt.reporter]'s output (same header, same text) made safe to
+    call from several domains at once: each message is formatted into a
+    private buffer and written to [dst] (default [stderr]; [app], default
+    [stdout], for [Logs.App]) in one write under a lock, so lines never
+    interleave and no formatter is shared. Every CLI subcommand installs
+    this one. *)

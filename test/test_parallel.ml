@@ -220,6 +220,45 @@ let test_service_snapshot_republish () =
   let after = stats_nodes (Service.handle_line ~local svc "{\"op\": \"stats\"}") in
   check_int "republished after generation bump" (before + 1) after
 
+(* ---------- logging from pool workers ---------- *)
+
+(* Every domain of a fan-out logs through the CLI's reporter at once: each
+   message must arrive whole, on its own line, exactly once. Logs_fmt's
+   reporter shares one Format formatter across domains and crashes
+   (Queue.Empty) or interleaves here. *)
+let test_log_reporter_domains () =
+  let path = Filename.temp_file "prospector_log" ".txt" in
+  let src = Logs.Src.create "test.pool" in
+  let old = Logs.reporter () in
+  let n = 64 and per = 40 in
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter old;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let oc = open_out_bin path in
+      Logs.set_reporter (Prospector.Util.log_reporter ~dst:oc ());
+      Logs.Src.set_level src (Some Logs.Debug);
+      Pool.parallel_for (Pool.create ~jobs:4) ~n (fun i ->
+          for j = 0 to per - 1 do
+            Logs.debug ~src (fun m -> m "item %d line %d %s" i j (String.make 100 'x'))
+          done);
+      close_out oc;
+      let lines =
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      check_int "one line per message" (n * per) (List.length lines);
+      let seen = Hashtbl.create (n * per) in
+      List.iter
+        (fun line ->
+          Scanf.sscanf line "%_s@[DEBUG] item %d line %d %s%!" (fun i j xs ->
+              check_int "payload intact" 100 (String.length xs);
+              Hashtbl.replace seen (i, j) ()))
+        lines;
+      check_int "every message exactly once" (n * per) (Hashtbl.length seen))
+
 let () =
   Alcotest.run "parallel"
     [
@@ -247,5 +286,10 @@ let () =
         [
           Alcotest.test_case "snapshot republish on mutation" `Quick
             test_service_snapshot_republish;
+        ] );
+      ( "logging",
+        [
+          Alcotest.test_case "reporter is safe across pool domains" `Quick
+            test_log_reporter_domains;
         ] );
     ]

@@ -26,15 +26,19 @@ let real_decls h =
   List.filter (fun (d : Decl.t) -> not d.Decl.synthetic) (Hierarchy.decls h)
 
 (* A method whose types are already interned, so a lone add stays
-   spliceable; [tag] keeps names unique across the op sequence. *)
-let fresh_meth rng h tag =
-  let ret = Jtype.Ref (Rng.pick rng (real_decls h)).Decl.dname in
-  Member.meth (Printf.sprintf "zzReload%d" tag) ~params:[] ~ret
+   spliceable; [tag] keeps names unique across the op sequence. With
+   [free], it takes two reference parameters, so its edges carry free
+   variables (the backward [f_bwd_nfree] lane a patch must keep). *)
+let fresh_meth ?(free = false) rng h tag =
+  let pick () = Jtype.Ref (Rng.pick rng (real_decls h)).Decl.dname in
+  let ret = pick () in
+  let params = if free then [ ("a", pick ()); ("b", pick ()) ] else [] in
+  Member.meth (Printf.sprintf "zzReload%d" tag) ~params ~ret
 
 (* Generate [nops] ops against a private copy of [h], applying each to the
    copy as we go — later ops must see earlier effects, exactly as
    [Delta.apply] validates them. *)
-let build_ops rng h nops =
+let build_ops ?free rng h nops =
   let hcur = Hierarchy.copy h in
   let tag = ref 0 in
   let next_tag () = incr tag; !tag in
@@ -48,11 +52,11 @@ let build_ops rng h nops =
     match Rng.int rng 5 with
     | 0 ->
         (* body-only replacement: the spliced shape *)
-        let d' = { d with Decl.methods = fresh_meth rng hcur (next_tag ()) :: d.Decl.methods } in
+        let d' = { d with Decl.methods = fresh_meth ?free rng hcur (next_tag ()) :: d.Decl.methods } in
         Hierarchy.replace hcur d';
         Delta.Replace_class d'
     | 1 ->
-        let m = fresh_meth rng hcur (next_tag ()) in
+        let m = fresh_meth ?free rng hcur (next_tag ()) in
         Hierarchy.replace hcur { d with Decl.methods = d.Decl.methods @ [ m ] };
         Delta.Add_method (d.Decl.dname, m)
     | 2 when d.Decl.methods <> [] ->
@@ -62,7 +66,7 @@ let build_ops rng h nops =
         Delta.Remove_method (d.Decl.dname, victim)
     | 3 ->
         let q = Qname.of_string (Printf.sprintf "zz.Fresh%d" (next_tag ())) in
-        let m = fresh_meth rng hcur (next_tag ()) in
+        let m = fresh_meth ?free rng hcur (next_tag ()) in
         let fresh = Decl.make ~methods:[ m ] q in
         Hierarchy.add hcur fresh;
         Delta.Add_class fresh
@@ -113,6 +117,40 @@ let prop_patched_equals_cold =
           && Graph.frozen_generation patch.Delta.p_frozen
              > Graph.frozen_generation frozen
           && roundtrips patch.Delta.p_hierarchy)
+
+(* The same oracle over methods with reference parameters: their edges
+   carry free variables, so the patched free-variable lane is compared
+   against the cold one entry for entry (and must hold some non-zero
+   entries, or the property would not look at it). *)
+let prop_patched_nfree_equals_cold =
+  QCheck2.Test.make ~name:"patched frozen = cold-rebuilt frozen, free-variable lane"
+    ~count:40 world_gen (fun (seed, classes, nops) ->
+      let h = Apigen.generate { Apigen.default_params with classes; seed } in
+      let frozen = freeze_cold h in
+      let rng = Rng.create ~seed:(seed lxor 0xf4ee) in
+      let ops = build_ops ~free:true rng h nops in
+      match Delta.apply ~hierarchy:h ~frozen ops with
+      | Error _ -> false
+      | Ok patch ->
+          let fz = patch.Delta.p_frozen in
+          let cold = freeze_cold patch.Delta.p_hierarchy in
+          let charged = ref false in
+          for u = 0 to fz.Graph.f_nodes - 1 do
+            for k = fz.Graph.f_bwd_off.{u} to fz.Graph.f_bwd_end.{u} - 1 do
+              if fz.Graph.f_bwd_nfree.{k} > 0 then charged := true
+            done
+          done;
+          !charged && Delta.frozen_equal fz cold)
+
+(* [frozen_equal] must see the free-variable lane: a copy differing only
+   in one of its entries is not equal. *)
+let test_frozen_equal_sees_nfree () =
+  let h = Apigen.generate { Apigen.default_params with classes = 30; seed = 4 } in
+  let frozen = freeze_cold h in
+  let copy = Graph.compact ~slack:0 frozen in
+  Alcotest.(check bool) "a dense copy is equal" true (Delta.frozen_equal frozen copy);
+  copy.Graph.f_bwd_nfree.{0} <- copy.Graph.f_bwd_nfree.{0} + 1;
+  Alcotest.(check bool) "one nfree entry off is not" false (Delta.frozen_equal frozen copy)
 
 let prop_reach_patch_identity =
   QCheck2.Test.make ~name:"Reach.patch = Reach.build_frozen on the patched snapshot"
@@ -229,7 +267,14 @@ let () =
       ( "delta oracle",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_patched_equals_cold; prop_reach_patch_identity; prop_add_method_splices;
+            prop_patched_equals_cold;
+            prop_patched_nfree_equals_cold;
+            prop_reach_patch_identity;
+            prop_add_method_splices;
+          ]
+        @ [
+            Alcotest.test_case "frozen_equal sees the free-variable lane" `Quick
+              test_frozen_equal_sees_nfree;
           ] );
       ( "japi round-trip",
         List.map QCheck_alcotest.to_alcotest [ prop_delta_file_roundtrip ] );

@@ -93,6 +93,7 @@ let prop_frozen_disk_roundtrip =
                   || fz.Graph.f_fwd_cost.{k} <> frozen.Graph.f_fwd_cost.{k}
                   || fz.Graph.f_bwd_src.{k} <> frozen.Graph.f_bwd_src.{k}
                   || fz.Graph.f_bwd_cost.{k} <> frozen.Graph.f_bwd_cost.{k}
+                  || fz.Graph.f_bwd_nfree.{k} <> frozen.Graph.f_bwd_nfree.{k}
                 then ok := false
               done
             end;
@@ -154,6 +155,27 @@ let test_damaged_files () =
       match Serialize.load_frozen path with
       | Error (Serialize.Bad_magic _) -> ()
       | _ -> Alcotest.fail "foreign file was not Bad_magic")
+
+(* A snapshot written before the free-variable lane existed (format
+   version 2: six segments) must be refused with [Bad_version] — never
+   loaded with a missing lane, which would give wrong priorities — so the
+   server takes its "ignoring ... rebuilding" path. The file here is a
+   current one with its version field set back to 2: the loader reads the
+   version first, before any segment. *)
+let test_v2_file_refused () =
+  let _, g = small_world () in
+  with_temp (fun path ->
+      ignore (Serialize.save_frozen (Graph.freeze g) path : int);
+      Froz_stamp.set_version path 2;
+      List.iter
+        (fun mmap ->
+          match Serialize.load_frozen ~mmap path with
+          | Error (Serialize.Bad_version { found = 2; expected = 3 }) -> ()
+          | Ok _ -> Alcotest.fail "a version-2 snapshot loaded"
+          | Error e ->
+              Alcotest.failf "expected Bad_version 2/3, got %s"
+                (Serialize.error_message e))
+        [ true; false ])
 
 (* Re-saving over a snapshot that is still mapped must leave the mapped one
    intact: the save replaces the file rather than rewriting it in place
@@ -229,6 +251,33 @@ let test_shards_engage () =
                 (s >= 0 && s < Shard.shard_count sh))
         (Graph.real_nodes g);
       ignore h
+
+(* A query routed to its target's shard answers exactly as the whole
+   snapshot does. No query path routes through shards any more, so this
+   pins the invariant the benchmark's routed ratio relies on directly. *)
+let test_shard_sub_answers () =
+  let h, g = mega_world 4000 in
+  let frozen = Graph.freeze g in
+  let reach = Reach.build_frozen frozen in
+  match Shard.plan frozen reach with
+  | None -> Alcotest.fail "planner declined a locality mega world"
+  | Some sh ->
+      let routed = ref 0 in
+      List.iter
+        (fun (q : Query.t) ->
+          match Graph.frozen_find_type_node frozen q.Query.tout with
+          | None -> ()
+          | Some dst -> (
+              match Option.bind (Shard.route sh ~target:dst) (Shard.sub sh) with
+              | None -> ()
+              | Some sub ->
+                  incr routed;
+                  check_bool "shard answer = whole-snapshot answer" true
+                    (results_equal
+                       (Query.run ~frozen:sub ~hierarchy:h q)
+                       (Query.run ~reach ~frozen ~hierarchy:h q))))
+        (Corpusgen.Workload.random_queries h g ~count:30 ~seed:21);
+      check_bool "some queries were routed" true (!routed > 0)
 
 (* ---------- CSR kernels: scratch reuse and cone pruning ---------- *)
 
@@ -324,6 +373,15 @@ let test_csr_matches_oracle () =
           check_bool (name "weighted_distances_to" cone) true
             (dist (Search.Csr.weighted_distances_to ?cone frozen ~target:dst)
             = Search_oracle.weighted_distances_to ?viable g ~target:dst ~cost:wcost);
+          let nfree = Prospector.Elem.ref_free_count in
+          check_bool (name "charged_distances_to" cone) true
+            (dist (Search.Csr.charged_distances_to ?cone frozen ~unit:2 ~target:dst)
+            = Search_oracle.weighted_distances_to ?viable g ~target:dst ~cost:(fun e ->
+                  Prospector.Elem.cost e + (2 * nfree e)));
+          check_bool (name "weighted_distances_to ~unit" cone) true
+            (dist (Search.Csr.weighted_distances_to ?cone ~unit:2 frozen ~target:dst)
+            = Search_oracle.weighted_distances_to ?viable g ~target:dst ~cost:(fun e ->
+                  wcost e + (Prospector.Elem.cost_scale * 2 * nfree e)));
           check_bool (name "enumerate" cone) true
             (Search.Csr.enumerate ?cone frozen ~sources:[ src ] ~target:dst ()
             = Search_oracle.enumerate g ~sources:[ src ] ~target:dst ());
@@ -364,10 +422,16 @@ let () =
           Alcotest.test_case "damaged files are typed errors" `Quick
             test_damaged_files;
           Alcotest.test_case "re-save while mapped" `Quick test_resave_while_mapped;
+          Alcotest.test_case "a version-2 file is Bad_version" `Quick
+            test_v2_file_refused;
         ] );
       ( "shard",
-        [ Alcotest.test_case "plan engages and stays consistent" `Quick
-            test_shards_engage ] );
+        [
+          Alcotest.test_case "plan engages and stays consistent" `Quick
+            test_shards_engage;
+          Alcotest.test_case "Shard.sub answers = whole snapshot" `Quick
+            test_shard_sub_answers;
+        ] );
       ( "kernels",
         [
           Alcotest.test_case "scratch reuse and cone pruning" `Quick

@@ -621,6 +621,202 @@ let prop_estimated_freevars_equal =
           results_equal ex bf)
         (Corpusgen.Workload.random_queries h g ~count:3 ~seed:13))
 
+(* ---------- qcheck: the charge-aware priority ---------- *)
+
+(* [h] from Search.Csr.charged_distances_to must be a consistent lower
+   bound for Topk's priority: finite exactly where the 0-1 distance is, no
+   smaller than it, zero at the target, and h(u) <= cost + unit * nfree +
+   h(v) on every edge the search can take (both ends inside the cone). It
+   is also exactly the oracle Dijkstra under those weights. *)
+let prop_charged_h_consistent =
+  QCheck2.Test.make ~name:"charged h: admissible, consistent, = oracle"
+    ~count:20 world_gen (fun (h, g) ->
+      let fz = Graph.freeze g in
+      let reach = Prospector.Reach.build_frozen fz in
+      let n = fz.Graph.f_nodes in
+      List.for_all
+        (fun (q : Query.t) ->
+          match Graph.frozen_find_type_node fz q.Query.tout with
+          | None -> true
+          | Some target ->
+              let cone = Option.map fst (Prospector.Reach.cone reach ~target) in
+              List.for_all
+                (fun unit ->
+                  let d = Search.Csr.distances_to ?cone fz ~target in
+                  let hd = Search.Csr.charged_distances_to ?cone fz ~unit ~target in
+                  let oracle =
+                    Search_oracle.weighted_distances_to g ~target ~cost:(fun e ->
+                        Prospector.Elem.cost e + (unit * Prospector.Elem.ref_free_count e))
+                  in
+                  let ok = ref (Search.Dist.get hd target = 0) in
+                  for v = 0 to n - 1 do
+                    let dv = Search.Dist.get d v and hv = Search.Dist.get hd v in
+                    if (dv = max_int) <> (hv = max_int) || hv < dv || hv <> oracle.(v)
+                    then ok := false
+                  done;
+                  Graph.frozen_iter_edges fz (fun e ->
+                      let hu = Search.Dist.get hd e.Graph.src
+                      and hv = Search.Dist.get hd e.Graph.dst in
+                      if
+                        hu < max_int && hv < max_int
+                        && hu
+                           > Prospector.Elem.cost e.Graph.elem
+                             + (unit * Prospector.Elem.ref_free_count e.Graph.elem)
+                             + hv
+                      then ok := false);
+                  !ok)
+                [ 1; 2; 5 ])
+        (Corpusgen.Workload.random_queries h g ~count:4 ~seed:11))
+
+(* The least per-variable charge, as Query derives it for [h]. *)
+let charge_unit (s : Query.settings) =
+  let c = max 0 s.Query.weights.Rank.freevar_cost in
+  if s.Query.estimate_freevars then min 1 c else c
+
+(* Query's void-distance free-variable estimator, rebuilt for the direct
+   Topk runs below. *)
+let estimator (s : Query.settings) fz =
+  let fc = s.Query.weights.Rank.freevar_cost in
+  if not s.Query.estimate_freevars then None
+  else
+    match Graph.frozen_void_node fz with
+    | None -> Some (fun _ -> fc)
+    | Some void ->
+        let dist = Search.Csr.distances_from fz ~sources:[ void ] in
+        Some
+          (fun ty ->
+            match Graph.frozen_find_type_node fz ty with
+            | Some n ->
+                let d = Search.Dist.get dist n in
+                if d < max_int then max 1 d else fc
+            | None -> fc)
+
+(* The Topk candidate stream of one query, driven directly: [charged]
+   passes the charge-aware distance ([?h], or the weighted sweep's
+   [?unit]); without it the priority is the plain distance, as in a
+   caller that predates the argument. [None] when the stream hit the
+   limit. *)
+let topk_stream ~charged ~settings ?edge_cost ~hierarchy fz (q : Query.t) =
+  let find = Graph.frozen_find_type_node fz in
+  match (find q.Query.tin, find q.Query.tout) with
+  | Some src, Some dst ->
+      let dist_to = Search.Csr.distances_to fz ~target:dst in
+      let dsrc = Search.Dist.get dist_to src in
+      if dsrc = max_int then Some []
+      else begin
+        let unit = if charged then charge_unit settings else 0 in
+        let weighted =
+          Option.map
+            (fun _ ->
+              {
+                Topk.wdist_to = Search.Csr.weighted_distances_to ~unit fz ~target:dst;
+                edge_wcost = (fun ord _ -> fz.Graph.f_fwd_wcost.(ord));
+              })
+            edge_cost
+        in
+        let h =
+          if charged && weighted = None then
+            Some (Search.Csr.charged_distances_to fz ~unit ~target:dst)
+          else None
+        in
+        let st =
+          Topk.start ?freevar_cost_of:(estimator settings fz) ?weighted ?h
+            ~weights:settings.Query.weights ~hierarchy
+            ~node_type:(Graph.frozen_node_type fz)
+            ~iter_succs:(fun u f ->
+              for k = fz.Graph.f_fwd_off.{u} to fz.Graph.f_fwd_end.{u} - 1 do
+                f k fz.Graph.f_fwd_edge.(k)
+              done)
+            ~edge_slots:(Array.length fz.Graph.f_fwd_edge)
+            ~materialize:(Prospector.Jungloid.of_frozen_path fz) ~dist_to
+            ~sources:[ (src, dsrc + settings.Query.slack) ]
+            ~target:dst ~limit:settings.Query.limit ()
+        in
+        let rec drain acc n =
+          if n = 0 then List.rev acc
+          else
+            match Topk.next st with
+            | None -> List.rev acc
+            | Some c ->
+                drain
+                  ((Prospector.Jungloid.to_string c.Topk.cand_jungloid, c.Topk.cand_key)
+                  :: acc)
+                  (n - 1)
+        in
+        let cands = drain [] 40 in
+        if Topk.truncated st then None else Some cands
+      end
+  | _ -> Some []
+
+let streams_equal a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (ta, ka) (tb, kb) -> String.equal ta tb && Rank.compare_key ka kb = 0)
+       a b
+
+(* Every configuration the charge reaches: freevar_cost in {0, 1, 2, 5},
+   each tiebreak on and off, the estimator on and off, paper and mined
+   ranking. Best-first through Query (which always passes the charged
+   distance) must equal the exhaustive oracle, and the raw Topk stream must
+   be the same with and without the charge-aware argument. *)
+let prop_charged_priority_grid =
+  QCheck2.Test.make ~name:"charged priority: BestFirst = exhaustive, with and without h"
+    ~count:8 world_gen (fun (h, g) ->
+      let edge_cost = synthetic_cost ~seed:3 in
+      let plain = Graph.freeze g and mined = Graph.freeze ~wcost:edge_cost g in
+      let qs = Corpusgen.Workload.random_queries h g ~count:2 ~seed:17 in
+      let bools = [ false; true ] in
+      List.for_all
+        (fun freevar_cost ->
+          List.for_all
+            (fun package_tiebreak ->
+              List.for_all
+                (fun generality_tiebreak ->
+                  List.for_all
+                    (fun estimate_freevars ->
+                      List.for_all
+                        (fun ranking ->
+                          let settings strategy =
+                            {
+                              Query.default_settings with
+                              strategy;
+                              ranking;
+                              estimate_freevars;
+                              weights =
+                                { Rank.freevar_cost; package_tiebreak; generality_tiebreak };
+                            }
+                          in
+                          let edge_cost, fz =
+                            match ranking with
+                            | Query.Mined -> (Some edge_cost, mined)
+                            | Query.Paper -> (None, plain)
+                          in
+                          List.for_all
+                            (fun q ->
+                              let ex, exi =
+                                Query.run_info ~settings:(settings Query.Exhaustive)
+                                  ?edge_cost ~frozen:fz ~hierarchy:h q
+                              in
+                              let bf =
+                                Query.run ~settings:(settings Query.BestFirst) ?edge_cost
+                                  ~frozen:fz ~hierarchy:h q
+                              in
+                              let stream charged =
+                                topk_stream ~charged ~settings:(settings Query.BestFirst)
+                                  ?edge_cost ~hierarchy:h fz q
+                              in
+                              (exi.Query.truncated || results_equal ex bf)
+                              &&
+                              match (stream true, stream false) with
+                              | Some a, Some b -> streams_equal a b
+                              | _ -> true)
+                            qs)
+                        [ Query.Paper; Query.Mined ])
+                    bools)
+                bools)
+            bools)
+        [ 0; 1; 2; 5 ])
+
 let () =
   Alcotest.run "topk"
     [
@@ -665,6 +861,9 @@ let () =
             test_fallback_warnings;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_mined_equals_exhaustive ] );
+      ( "charged",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_charged_h_consistent; prop_charged_priority_grid ] );
       ( "protocol",
         [
           Alcotest.test_case "bundled Eclipse graph, Table 1, mined model"
