@@ -220,11 +220,14 @@ let write_file path contents =
 
 (* Every BENCH_*.json is stamped with the size of the model it measured
    (total methods) and the commit, so archived numbers stay traceable when
-   quoted outside the repo. *)
+   quoted outside the repo. A "-dirty" suffix marks numbers measured on
+   uncommitted changes on top of that commit. *)
 let commit_id =
   lazy
     (try
-       let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+       let ic =
+         Unix.open_process_in "git describe --always --dirty --abbrev=7 2>/dev/null"
+       in
        let line = try String.trim (input_line ic) with End_of_file -> "" in
        match Unix.close_process_in ic with
        | Unix.WEXITED 0 when line <> "" -> line
@@ -836,6 +839,75 @@ let section_server () =
   Printf.printf "per-request speedup over one-shot CLI: %.0fx\n" speedup;
   Server.shutdown srv;
   Server.wait srv;
+  (* Where a warm cache hit's time goes, in process and stage by stage:
+     decoding the request line, [Service.handle] (the cache probe plus the
+     reply envelope), and encoding the reply, which splices the cached
+     result array's bytes. [encode] is the same reply rendered the way every
+     hit did before the cache kept bytes: each result's jungloid rendered
+     and every string escaped again. Medians over [hit_samples] hits. *)
+  let local = Service.local service in
+  let typed =
+    Array.map
+      (fun line ->
+        ignore (Service.handle_line ~local service line);
+        match Proto.request_of_json (Proto.of_string line) with
+        | Ok { Proto.req = Proto.Query { tin; tout; _ }; _ } ->
+            Query.run_info ~frozen:(Query.engine_frozen (Service.engine service))
+              ?reach:(Query.engine_reach (Service.engine service))
+              ~hierarchy (Query.query tin tout)
+        | _ -> failwith "server bench: the hit-path lines are queries")
+      lines
+  in
+  let old_reply (rs, info) =
+    Proto.ok_response ~id:Proto.Null ~op:"query"
+      [
+        ("count", Proto.Int (List.length rs));
+        ( "results",
+          Proto.Arr
+            (List.mapi
+               (fun i (r : Query.result) ->
+                 Proto.Obj
+                   [
+                     ("rank", Proto.Int (i + 1));
+                     ("jungloid", Proto.Str (Prospector.Jungloid.to_string r.Query.jungloid));
+                     ("code", Proto.Str r.Query.code);
+                   ])
+               rs) );
+        ("truncated", Proto.Bool info.Query.truncated);
+      ]
+  in
+  let hit_samples = 3000 in
+  let decode = ref [] and dispatch = ref [] and splice = ref [] and encode = ref [] in
+  let bytes = ref 0 in
+  for i = 0 to hit_samples - 1 do
+    let k = i mod Array.length lines in
+    let t0 = Unix.gettimeofday () in
+    let env =
+      match Proto.request_of_json (Proto.of_string lines.(k)) with
+      | Ok env -> env
+      | Error m -> failwith m
+    in
+    let t1 = Unix.gettimeofday () in
+    let reply = Service.handle ~local service env in
+    let t2 = Unix.gettimeofday () in
+    let spliced = Proto.to_string reply in
+    let t3 = Unix.gettimeofday () in
+    let encoded = Proto.to_string (old_reply typed.(k)) in
+    let t4 = Unix.gettimeofday () in
+    if not (String.equal spliced encoded) then
+      failwith "server bench: spliced reply differs from the encoded tree";
+    decode := (t1 -. t0) :: !decode;
+    dispatch := (t2 -. t1) :: !dispatch;
+    splice := (t3 -. t2) :: !splice;
+    encode := (t4 -. t3) :: !encode;
+    bytes := !bytes + String.length spliced
+  done;
+  let us xs = 1e6 *. percentile xs 0.50 in
+  let reply_bytes = float_of_int !bytes /. float_of_int hit_samples in
+  Printf.printf
+    "cache hit, in process (median of %d): decode %.2f us, probe + envelope %.2f \
+     us, splice %.2f us vs re-encode %.2f us, %.0f reply bytes\n"
+    hit_samples (us !decode) (us !dispatch) (us !splice) (us !encode) reply_bytes;
   let json =
     Printf.sprintf
       "{\n\
@@ -856,10 +928,22 @@ let section_server () =
       \    \"p50_ms\": %.4f,\n\
       \    \"p95_ms\": %.4f\n\
       \  },\n\
-      \  \"speedup_vs_oneshot\": %.1f\n\
+      \  \"speedup_vs_oneshot\": %.1f,\n\
+      \  \"hit_path\": {\n\
+      \    \"samples\": %d,\n\
+      \    \"decode_us\": %.2f,\n\
+      \    \"probe_envelope_us\": %.2f,\n\
+      \    \"splice_us\": %.2f,\n\
+      \    \"reencode_us\": %.2f,\n\
+      \    \"reply_bytes\": %.0f\n\
+      \  },\n\
+      \  \"cores\": %d,\n\
+      \  \"ocaml\": %S\n\
        }\n"
       oneshot_t (Array.length lines) requests seq_t seq_rps seq_p50 seq_p95
-      n_clients conc_n conc_t conc_rps conc_p50 conc_p95 speedup
+      n_clients conc_n conc_t conc_rps conc_p50 conc_p95 speedup hit_samples
+      (us !decode) (us !dispatch) (us !splice) (us !encode) reply_bytes
+      (Domain.recommended_domain_count ()) Sys.ocaml_version
   in
   write_bench ~model_methods:(hier_methods (Apidata.Api.hierarchy ())) "BENCH_server.json" json
 

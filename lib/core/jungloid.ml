@@ -55,55 +55,82 @@ let well_typed h t =
   in
   steps t.input t.elems
 
-let render_args params ~input ~expr =
-  let arg i (name, ty) =
-    match input with
-    | Elem.Param j when i = j -> expr
-    | _ -> (
-        match ty with
-        | Jtype.Prim p -> (
-            match p with
-            | Jtype.Boolean -> "false"
-            | Jtype.Char -> "'\\0'"
-            | Jtype.Float | Jtype.Double -> "0.0"
-            | _ -> "0")
-        | _ -> name)
-  in
-  "(" ^ String.concat ", " (List.mapi arg params) ^ ")"
+(* The renderers write into one Buffer. An element's rendering wraps the
+   rendering of the elements before it (a receiver, an argument, a cast
+   operand), so [add_expr] walks the elements last-first and renders the
+   inner prefix in place through [inner]. *)
+let prim_literal = function
+  | Jtype.Boolean -> "false"
+  | Jtype.Char -> "'\\0'"
+  | Jtype.Float | Jtype.Double -> "0.0"
+  | Jtype.Byte | Jtype.Short | Jtype.Int | Jtype.Long -> "0"
 
-let to_expression t =
-  let start = match t.input with Jtype.Void -> "" | _ -> "x" in
-  List.fold_left
-    (fun expr e ->
+let add_args buf params ~input ~inner =
+  Buffer.add_char buf '(';
+  List.iteri
+    (fun i (name, ty) ->
+      if i > 0 then Buffer.add_string buf ", ";
+      match input with
+      | Elem.Param j when i = j -> inner ()
+      | _ -> (
+          match ty with
+          | Jtype.Prim p -> Buffer.add_string buf (prim_literal p)
+          | _ -> Buffer.add_string buf name))
+    params;
+  Buffer.add_char buf ')'
+
+let rec add_expr buf ~start = function
+  | [] -> Buffer.add_string buf start
+  | e :: before -> (
+      let inner () = add_expr buf ~start before in
       match e with
       | Elem.Field_access { owner; field } ->
-          if field.Member.fstatic then
-            Printf.sprintf "%s.%s" (Qname.simple owner) field.Member.fname
-          else Printf.sprintf "%s.%s" expr field.Member.fname
+          if field.Member.fstatic then Buffer.add_string buf (Qname.simple owner)
+          else inner ();
+          Buffer.add_char buf '.';
+          Buffer.add_string buf field.Member.fname
       | Elem.Static_call { owner; meth; input } ->
-          Printf.sprintf "%s.%s%s" (Qname.simple owner) meth.Member.mname
-            (render_args meth.Member.params ~input ~expr)
+          Buffer.add_string buf (Qname.simple owner);
+          Buffer.add_char buf '.';
+          Buffer.add_string buf meth.Member.mname;
+          add_args buf meth.Member.params ~input ~inner
       | Elem.Ctor_call { owner; ctor; input } ->
-          Printf.sprintf "new %s%s" (Qname.simple owner)
-            (render_args ctor.Member.cparams ~input ~expr)
-      | Elem.Instance_call { meth; input; _ } -> (
-          match input with
-          | Elem.Receiver ->
-              Printf.sprintf "%s.%s%s" expr meth.Member.mname
-                (render_args meth.Member.params ~input:Elem.No_input ~expr)
-          | _ ->
-              Printf.sprintf "receiver.%s%s" meth.Member.mname
-                (render_args meth.Member.params ~input ~expr))
-      | Elem.Widen _ -> expr
+          Buffer.add_string buf "new ";
+          Buffer.add_string buf (Qname.simple owner);
+          add_args buf ctor.Member.cparams ~input ~inner
+      | Elem.Instance_call { meth; input; _ } ->
+          (match input with
+          | Elem.Receiver -> inner ()
+          | _ -> Buffer.add_string buf "receiver");
+          Buffer.add_char buf '.';
+          Buffer.add_string buf meth.Member.mname;
+          add_args buf meth.Member.params
+            ~input:(match input with Elem.Receiver -> Elem.No_input | i -> i)
+            ~inner
+      | Elem.Widen _ -> inner ()
       | Elem.Downcast { to_; _ } ->
-          Printf.sprintf "((%s) %s)" (Jtype.simple_string to_) expr)
-    start t.elems
+          Buffer.add_string buf "((";
+          Buffer.add_string buf (Jtype.simple_string to_);
+          Buffer.add_string buf ") ";
+          inner ();
+          Buffer.add_char buf ')')
+
+let start_var t = match t.input with Jtype.Void -> "" | _ -> "x"
+
+let to_expression t =
+  let buf = Buffer.create 64 in
+  add_expr buf ~start:(start_var t) (List.rev t.elems);
+  Buffer.contents buf
 
 let to_string t =
-  let binder = match t.input with Jtype.Void -> "λ(). " | _ -> "λx. " in
-  Printf.sprintf "%s%s : %s -> %s" binder (to_expression t)
-    (Jtype.simple_string t.input)
-    (Jtype.simple_string (output_type t))
+  let buf = Buffer.create 96 in
+  Buffer.add_string buf (match t.input with Jtype.Void -> "λ(). " | _ -> "λx. ");
+  add_expr buf ~start:(start_var t) (List.rev t.elems);
+  Buffer.add_string buf " : ";
+  Buffer.add_string buf (Jtype.simple_string t.input);
+  Buffer.add_string buf " -> ";
+  Buffer.add_string buf (Jtype.simple_string (output_type t));
+  Buffer.contents buf
 
 let compare = Stdlib.compare
 

@@ -405,9 +405,10 @@ let topk_stream ?memo ?scratch ~settings ~hierarchy ~freevar_cost_of ?edge_cost
    memoization makes re-traversal safe even though the heap is stateful.
    [consume_single] (the query op) and [run_stream] (the refine workload)
    share this producer, so a refine session's candidate list is the query
-   reply's result list by construction. *)
-let stream_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
-    ~pfilter st =
+   reply's result list by construction. A result's key is the one [Topk]
+   certified the candidate's place with ([cand_key]); it equals [Rank.key]
+   of the jungloid, which test_topk pins. *)
+let stream_single ~verify ~pfilter st =
   let seen = Hashtbl.create 32 in
   let rec next () =
     match Topk.next st with
@@ -435,9 +436,7 @@ let stream_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
             let r =
               {
                 jungloid = j;
-                key =
-                  Rank.key ~weights:settings.weights ?freevar_cost_of ?edge_cost
-                    hierarchy j;
+                key = c.Topk.cand_key;
                 code = Codegen.to_java j;
               }
             in
@@ -447,12 +446,10 @@ let stream_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
   in
   Seq.memoize next
 
-let consume_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
-    ~pfilter st =
+let consume_single ~settings ~verify ~pfilter st =
   List.of_seq
     (Seq.take settings.max_results
-       (stream_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
-          ~pfilter st))
+       (stream_single ~verify ~pfilter st))
 
 let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
     ?protocol_check ?graph ~hierarchy q =
@@ -519,8 +516,7 @@ let run_info ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
                     ~target:dst
                 in
                 let results =
-                  consume_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost
-                    ~verify ~pfilter st
+                  consume_single ~settings ~verify ~pfilter st
                 in
                 Log.debug (fun m ->
                     m
@@ -609,8 +605,7 @@ let run_stream ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
                   ~sources:[ (src, dsrc + settings.slack) ]
                   ~target:dst
               in
-              stream_single ~settings ~hierarchy ~freevar_cost_of ?edge_cost
-                ~verify ~pfilter st
+              stream_single ~verify ~pfilter st
           end
       | _ -> Seq.empty)
 
@@ -652,8 +647,7 @@ let cluster results =
    All candidates of one structurally-equal jungloid share one key and
    therefore one run, so the per-run (jungloid, source) dedup reproduces
    the exhaustive [Hashtbl.replace] dedup exactly. *)
-let consume_multi ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
-    ~pfilter ~void ~var_nodes st =
+let consume_multi ~settings ~verify ~pfilter ~void ~var_nodes st =
   let seen_pair = Hashtbl.create 64 in
   let seen_expr = Hashtbl.create 64 in
   let out = ref [] in
@@ -716,9 +710,7 @@ let consume_multi ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
                   result =
                     {
                       jungloid = j;
-                      key =
-                        Rank.key ~weights:settings.weights ?freevar_cost_of
-                          ?edge_cost hierarchy j;
+                      key = c.Topk.cand_key;
                       code = Codegen.to_java ?input j;
                     };
                 }
@@ -864,8 +856,7 @@ let run_multi ?(settings = default_settings) ?reach ?frozen ?verify ?edge_cost
                 ~freevar_cost_of ?edge_cost ?cone fz ~dist_to ~sources:budgeted
                 ~target:dst
             in
-            consume_multi ~settings ~hierarchy ~freevar_cost_of ?edge_cost ~verify
-              ~pfilter ~void ~var_nodes st
+            consume_multi ~settings ~verify ~pfilter ~void ~var_nodes st
         in
         (match strategy with
         | Exhaustive -> exhaustive ()
@@ -1045,7 +1036,7 @@ let engine_reach e =
     match e.e_reach with
     | Some r -> Some r
     | None ->
-        let r = Reach.build_frozen ~pool:e.e_pool e.e_frozen in
+        let r = Reach.build_frozen e.e_frozen in
         Log.debug (fun m ->
             m "engine: reach index built — %d nodes, %d SCCs" (Reach.node_count r)
               (Reach.scc_count r));
@@ -1110,7 +1101,7 @@ let engine_reload ?edge_cost ?protocol_check e (patch : Delta.patch) =
   let reach' =
     match old_reach with
     | Some r when e.e_prune && patch.Delta.p_mode = Delta.Spliced ->
-        Some (Reach.patch ~pool:e.e_pool ~old:r ~touched:patch.Delta.p_touched fz)
+        Some (Reach.patch ~old:r ~touched:patch.Delta.p_touched fz)
     | _ -> None (* rebuilt lazily on next pruned query *)
   in
   let model_changed =

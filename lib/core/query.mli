@@ -302,8 +302,8 @@ val engine :
     closure computation. A seed whose {!Reach.generation} does not match
     the graph is silently dropped (the engine rebuilds lazily), so a stale
     cache file can cost time but never correctness. [?pool] (default
-    sequential) is used by {!run_batch} and by the reach-index build; it
-    changes wall-clock only, never results. The engine freezes a CSR
+    sequential) is used by {!run_batch}; it changes wall-clock only, never
+    results. The engine freezes a CSR
     snapshot of the graph eagerly (and again on every invalidation), so all
     engine-driven searches run on flat arrays.
 

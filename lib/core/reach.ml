@@ -14,14 +14,11 @@
    node, which collapses the quadratic worst case on the highly cyclic real
    graphs.
 
-   The DP optionally fans out across a Pool: components are grouped by
-   condensation level (sinks at level 0, level(c) = 1 + max over successor
-   components), and all components of one level are processed in parallel —
-   each writes only its own bitset and reads only lower-level closures,
-   which the level barrier (a join per level) has already completed and
-   published. The result is bit-for-bit the sequential sweep's. *)
-
-module Pool = Prospector_parallel.Pool
+   The DP is one ascending sweep over the component ids, inline on the
+   calling domain. It is not fanned out level by level across a domain
+   pool: the condensation has many thin levels, and a spawn and join per
+   level costs more than the level's work (at 100k methods a two-domain
+   fan-out took 15–67 ms against 10–14 ms inline). *)
 
 module Bits = struct
   let word = Sys.int_size (* 63 on 64-bit platforms *)
@@ -112,7 +109,7 @@ let compute_sccs n ~(off : Graph.int_array1) ~(fin : Graph.int_array1)
   done;
   (comp, !ncomp)
 
-let build_frozen ?pool (fz : Graph.frozen) =
+let build_frozen (fz : Graph.frozen) =
   let n = fz.Graph.f_nodes in
   let off = fz.Graph.f_fwd_off in
   let fin = fz.Graph.f_fwd_end in
@@ -123,31 +120,11 @@ let build_frozen ?pool (fz : Graph.frozen) =
   for u = n - 1 downto 0 do
     members.(comp.(u)) <- u :: members.(comp.(u))
   done;
-  (* Condensation levels: sinks at 0, otherwise one above the deepest
-     successor component. Component ids are reverse topological, so an
-     ascending-id sweep sees every successor's level already final. *)
-  let level = Array.make ncomp 0 in
-  let max_level = ref 0 in
+  (* The closure of a component: its members plus the union of its
+     successor components' closures, all complete already because their ids
+     are smaller. [seen] dedupes successor components — the same component
+     is typically entered through many edges. *)
   for c = 0 to ncomp - 1 do
-    List.iter
-      (fun u ->
-        for k = off.{u} to fin.{u} - 1 do
-          let cv = comp.(adj.{k}) in
-          if cv <> c && level.(cv) + 1 > level.(c) then level.(c) <- level.(cv) + 1
-        done)
-      members.(c);
-    if level.(c) > !max_level then max_level := level.(c)
-  done;
-  let by_level = Array.make (!max_level + 1) [] in
-  for c = ncomp - 1 downto 0 do
-    by_level.(level.(c)) <- c :: by_level.(level.(c))
-  done;
-  (* The closure of one component: its members plus the union of its
-     successor components' (already complete) closures. [seen] dedupes
-     successor components — the same component is typically entered through
-     many edges. Unions are commutative and each call writes only
-     [creach.(c)], so every component of one level can run concurrently. *)
-  let close c =
     let bits = creach.(c) in
     let seen = Hashtbl.create 16 in
     List.iter
@@ -161,20 +138,14 @@ let build_frozen ?pool (fz : Graph.frozen) =
           end
         done)
       members.(c)
-  in
-  let pool = Option.value pool ~default:Pool.sequential in
-  Array.iter
-    (fun comps ->
-      let comps = Array.of_list comps in
-      Pool.parallel_for pool ~n:(Array.length comps) (fun i -> close comps.(i)))
-    by_level;
+  done;
   let csize = Array.make ncomp 0 in
   for u = 0 to n - 1 do
     csize.(comp.(u)) <- csize.(comp.(u)) + 1
   done;
   { n; built_at = fz.Graph.f_generation; comp; creach; csize }
 
-let build ?pool g = build_frozen ?pool (Graph.freeze g)
+let build g = build_frozen (Graph.freeze g)
 
 (* Delta-aware maintenance. A reload patches a bounded set of CSR rows; the
    index only has to recompute closures downstream-of-change. Tarjan reruns
@@ -196,9 +167,9 @@ let build ?pool g = build_frozen ?pool (Graph.freeze g)
    the sweep stops paying for itself and a full rebuild is cheaper. *)
 let dirty_node_threshold = 0.25
 
-let patch ?pool ~old ~touched (fz : Graph.frozen) =
+let patch ~old ~touched (fz : Graph.frozen) =
   let n = fz.Graph.f_nodes in
-  if n <> old.n then build_frozen ?pool fz
+  if n <> old.n then build_frozen fz
   else begin
     let off = fz.Graph.f_fwd_off in
     let fin = fz.Graph.f_fwd_end in
@@ -237,7 +208,7 @@ let patch ?pool ~old ~touched (fz : Graph.frozen) =
       end
     done;
     if float_of_int !dirty_nodes > dirty_node_threshold *. float_of_int n then
-      build_frozen ?pool fz
+      build_frozen fz
     else begin
       let creach = Array.make ncomp [||] in
       for c = 0 to ncomp - 1 do

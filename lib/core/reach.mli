@@ -32,23 +32,18 @@ end
 
 type t
 
-val build : ?pool:Prospector_parallel.Pool.t -> Graph.t -> t
+val build : Graph.t -> t
 (** O(nodes + edges + SCCs · nodes/word). The index describes the graph as
     of {!Graph.generation} at the time of the call; it never observes later
     mutations (callers rebuild, keyed on the generation). Equivalent to
-    [build_frozen ?pool (Graph.freeze g)]. *)
+    [build_frozen (Graph.freeze g)]. *)
 
-val build_frozen : ?pool:Prospector_parallel.Pool.t -> Graph.frozen -> t
+val build_frozen : Graph.frozen -> t
 (** Build from an existing CSR snapshot (the engine already has one — no
-    point freezing twice). With [?pool], the bitset DP over the SCC
-    condensation fans out level by level: all components whose successors'
-    closures are complete are closed concurrently, separated by a join per
-    level. The result is bit-for-bit identical to the sequential build —
-    each component writes only its own bitset and unions are commutative —
-    so pool size never affects query results. *)
+    point freezing twice). The closure DP runs inline on the calling
+    domain. *)
 
-val patch :
-  ?pool:Prospector_parallel.Pool.t -> old:t -> touched:Bits.t -> Graph.frozen -> t
+val patch : old:t -> touched:Bits.t -> Graph.frozen -> t
 (** Delta-aware maintenance after a reload: [patch ~old ~touched fz] indexes
     the patched snapshot [fz], recomputing only components with a path to a
     [touched] node (an endpoint of an added or removed edge, over node ids

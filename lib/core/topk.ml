@@ -543,45 +543,51 @@ let flush_pending st =
   st.groups <- List.rev !groups
 
 (* Resolve one numeric-tie group: only here are paths materialized into
-   jungloids (counted — this is the laziness the bench measures) and
-   rendered for the textual tiebreak. *)
+   jungloids (counted — this is the laziness the bench measures) and, when
+   the group has two or more members, rendered for the textual tiebreak. *)
 let resolve_group st ids =
-  let members =
-    Array.map
-      (fun id ->
-        let p = Arena.path st.arena id in
-        let j = st.materialize p in
-        st.materialized_n <- st.materialized_n + 1;
-        let weighted =
-          match st.weighted with
-          | None -> 0
-          | Some _ ->
-              Ivec.get st.m_wcost id + (Elem.cost_scale * Ivec.get st.m_charge id)
-        in
-        let key =
-          {
-            Rank.weighted;
-            length = Ivec.get st.m_cost id + Ivec.get st.m_charge id;
-            crossings = Ivec.get st.m_cross id;
-            specificity = Ivec.get st.m_spec id;
-            interior = Ivec.get st.m_interior id;
-            tie = j;
-          }
-        in
-        ( Jungloid.to_string j,
-          p.Search.source,
-          Arena.ords_of st.arena id,
-          { cand_path = p; cand_jungloid = j; cand_key = key } ))
-      ids
+  let resolve id =
+    let p = Arena.path st.arena id in
+    let j = st.materialize p in
+    st.materialized_n <- st.materialized_n + 1;
+    let weighted =
+      match st.weighted with
+      | None -> 0
+      | Some _ ->
+          Ivec.get st.m_wcost id + (Elem.cost_scale * Ivec.get st.m_charge id)
+    in
+    let key =
+      {
+        Rank.weighted;
+        length = Ivec.get st.m_cost id + Ivec.get st.m_charge id;
+        crossings = Ivec.get st.m_cross id;
+        specificity = Ivec.get st.m_spec id;
+        interior = Ivec.get st.m_interior id;
+        tie = j;
+      }
+    in
+    { cand_path = p; cand_jungloid = j; cand_key = key }
   in
-  Array.sort
-    (fun (ta, sa, oa, _) (tb, sb, ob, _) ->
-      match compare (ta : string) tb with
-      | 0 -> (
-          match compare (sa : int) sb with 0 -> cmp_ords oa ob | c -> c)
-      | c -> c)
-    members;
-  Array.to_list (Array.map (fun (_, _, _, c) -> c) members)
+  if Array.length ids = 1 then [ resolve ids.(0) ]
+  else
+    let members =
+      Array.map
+        (fun id ->
+          let c = resolve id in
+          ( Jungloid.to_string c.cand_jungloid,
+            c.cand_path.Search.source,
+            Arena.ords_of st.arena id,
+            c ))
+        ids
+    in
+    Array.sort
+      (fun (ta, sa, oa, _) (tb, sb, ob, _) ->
+        match compare (ta : string) tb with
+        | 0 -> (
+            match compare (sa : int) sb with 0 -> cmp_ords oa ob | c -> c)
+        | c -> c)
+      members;
+    Array.to_list (Array.map (fun (_, _, _, c) -> c) members)
 
 (* The driver: make [emit] non-empty or prove the search exhausted. Work
    is strictly consumer-paced — the heap is popped only while no resolved

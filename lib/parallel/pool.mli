@@ -4,9 +4,12 @@
     each [parallel_for]/[map_*] call spawns [jobs - 1] domains, the calling
     domain works alongside them, and every domain is joined before the call
     returns. That keeps the lifecycle trivial (no shutdown protocol, no
-    idle workers burning a domain slot) at the cost of ~30 µs of spawn
-    overhead per fan-out — noise against the multi-millisecond batch, mining
-    and index-build workloads this module exists for.
+    idle workers burning a domain slot) at the cost of a spawn and a join
+    per fan-out. Measured on a 2-core host, an empty 2-way [parallel_for]
+    costs a median 92–101 µs, p90 0.33–3.4 ms and up to 4–11 ms (2,000
+    calls, three runs): noise against one multi-second batch or mining
+    fan-out, but more than the work of a small loop, so fan out once per
+    large job, never once per level of an inner loop.
 
     Work distribution is {e chunked}: indices [0 .. n-1] are split into
     contiguous chunks of [max 1 (n / (jobs * 4))] indices and domains claim

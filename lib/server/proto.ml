@@ -6,6 +6,7 @@ type json =
   | Str of string
   | Arr of json list
   | Obj of (string * json) list
+  | Raw of string
 
 exception Parse_error of string
 
@@ -13,21 +14,39 @@ let max_depth = 128
 
 (* ---------- encoder ---------- *)
 
+(* The bytes JSON makes us escape: the quote, the backslash and the C0
+   controls. Everything else, bytes >= 0x80 included, passes through, so
+   [escape_into] copies each run between two escapes with one blit. *)
+let[@inline] needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let hex_digits = "0123456789abcdef"
+
+let escape_byte buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | '\b' -> Buffer.add_string buf "\\b"
+  | '\012' -> Buffer.add_string buf "\\f"
+  | c ->
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+      Buffer.add_char buf hex_digits.[Char.code c land 15]
+
 let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      escape_byte buf c;
+      run := i + 1
+    end
+  done;
+  if n > !run then Buffer.add_substring buf s !run (n - !run)
 
 (* The shortest decimal that reads back as the same double ("%.15g" almost
    always; "%.17g" for the awkward ones). *)
@@ -71,6 +90,7 @@ let rec encode buf = function
           encode buf v)
         fields;
       Buffer.add_char buf '}'
+  | Raw s -> Buffer.add_string buf s
 
 let to_string j =
   let buf = Buffer.create 256 in

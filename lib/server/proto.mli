@@ -47,13 +47,20 @@ type json =
   | Str of string  (** raw bytes; see the codec note above *)
   | Arr of json list
   | Obj of (string * json) list
+  | Raw of string
+      (** JSON text that is already encoded — by {!to_string}, so it is one
+          complete value in the same compact spelling — emitted verbatim.
+          The decoder never produces it: [of_string (to_string j)] has each
+          [Raw s] replaced by [of_string s]. {!Service} keeps each cached
+          answer's result array as one, so a cache hit splices the bytes
+          the miss encoded instead of re-encoding them. *)
 
 exception Parse_error of string
 
 val to_string : json -> string
 (** Compact (single-line, minimal whitespace) rendering. Floats print with
     the shortest decimal that round-trips; non-finite floats render as
-    [null] (JSON has no spelling for them). *)
+    [null] (JSON has no spelling for them). [Raw] text is copied unchecked. *)
 
 val of_string : string -> json
 (** @raise Parse_error on malformed input, trailing garbage, or nesting

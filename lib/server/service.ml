@@ -29,7 +29,11 @@ type snapshot = {
 (* Per-worker result cache. The engine's LRU mutates on reads, so sharing it
    across lock-free readers is impossible; instead each transport worker owns
    one of these. One cache holds all three read shapes — a variant key keeps
-   them from colliding while letting hot ops steal capacity from cold ones. *)
+   them from colliding while letting hot ops steal capacity from cold ones.
+   Each value carries its reply payload array already encoded, so a hit
+   splices those bytes ([Proto.Raw]) instead of re-rendering the jungloids
+   and re-escaping the code; the typed value stays for the ops that derive
+   something else from it (cluster, refine, lint's own query). *)
 type lkey =
   | Lquery of {
       tin : Jtype.t;
@@ -51,9 +55,12 @@ type lkey =
     }
 
 type lval =
-  | Vresults of Query.result list * bool  (* results, truncated *)
-  | Vsuggest of Prospector.Assist.suggestion list
-  | Vlint of Analysis.Diagnostic.t list
+  | Vresults of Query.result list * bool * string
+      (* results, truncated, the "results" array as wire JSON *)
+  | Vsuggest of Prospector.Assist.suggestion list * string
+      (* suggestions, the "suggestions" array as wire JSON *)
+  | Vlint of Analysis.Diagnostic.t list * string
+      (* diagnostics, the "diagnostics" array as wire JSON *)
 
 type local = { lcache : (lkey, lval) Qcache.t }
 
@@ -310,23 +317,25 @@ let query_results t local snap ~settings q =
         q
     in
     if info.Query.truncated then Atomic.incr t.truncated_queries;
-    Vresults (rs, info.Query.truncated)
+    Vresults (rs, info.Query.truncated, Proto.to_string (results_json rs))
   in
   let key =
     Lquery { tin = q.Query.tin; tout = q.Query.tout; settings; gen = snap.s_gen }
   in
   match memo local key compute with
-  | Vresults (rs, truncated) -> (rs, truncated)
+  | Vresults (rs, truncated, json) -> (rs, truncated, json)
   | _ -> assert false
 
 let assist_suggestions t local snap ~settings (ctx : Prospector.Assist.context) =
   let compute () =
-    Vsuggest
-      (Prospector.Assist.suggest ~settings ~frozen:snap.s_frozen ?reach:snap.s_reach
-         ?edge_cost:(Query.engine_edge_cost t.eng)
-         ?protocol_check:(Query.engine_protocol_check t.eng)
-         ~hierarchy:(Query.engine_hierarchy t.eng)
-         ctx)
+    let ss =
+      Prospector.Assist.suggest ~settings ~frozen:snap.s_frozen ?reach:snap.s_reach
+        ?edge_cost:(Query.engine_edge_cost t.eng)
+        ?protocol_check:(Query.engine_protocol_check t.eng)
+        ~hierarchy:(Query.engine_hierarchy t.eng)
+        ctx
+    in
+    Vsuggest (ss, Proto.to_string (Proto.Arr (List.mapi suggestion_json ss)))
   in
   let key =
     Lassist
@@ -337,19 +346,25 @@ let assist_suggestions t local snap ~settings (ctx : Prospector.Assist.context) 
         gen = snap.s_gen;
       }
   in
-  match memo local key compute with Vsuggest ss -> ss | _ -> assert false
+  match memo local key compute with
+  | Vsuggest (ss, json) -> (ss, json)
+  | _ -> assert false
 
 let lint_diagnostics t local snap q =
   let hierarchy = Query.engine_hierarchy t.eng in
   let vet = match t.vet with Some v -> v | None -> fun _ -> [] in
   let compute () =
-    Vlint
-      (fst (query_results t local snap ~settings:t.base_settings q)
-      |> List.concat_map (fun (r : Query.result) ->
-             Analysis.Verify.check hierarchy r.Query.jungloid
-             @ Analysis.Gencheck.check hierarchy r.Query.jungloid
-             @ vet r.Query.jungloid)
-      |> List.sort_uniq Analysis.Diagnostic.compare)
+    let rs, _, _ = query_results t local snap ~settings:t.base_settings q in
+    let ds =
+      List.concat_map
+        (fun (r : Query.result) ->
+          Analysis.Verify.check hierarchy r.Query.jungloid
+          @ Analysis.Gencheck.check hierarchy r.Query.jungloid
+          @ vet r.Query.jungloid)
+        rs
+      |> List.sort_uniq Analysis.Diagnostic.compare
+    in
+    Vlint (ds, Proto.to_string (Proto.Arr (List.map diagnostic_json ds)))
   in
   let key =
     Llint
@@ -360,7 +375,9 @@ let lint_diagnostics t local snap q =
         gen = snap.s_gen;
       }
   in
-  match memo local key compute with Vlint ds -> ds | _ -> assert false
+  match memo local key compute with
+  | Vlint (ds, json) -> (ds, json)
+  | _ -> assert false
 
 (* Engine counters plus every worker cache's counters. Foreign caches may be
    mid-mutation on other domains while we read; the counters are plain ints
@@ -649,7 +666,7 @@ let dispatch ?local t ~id req =
             settings_for t ~max_results ~slack ~strategy ~ranking ~protocol
           in
           let q = Query.query tin tout in
-          let rs, truncated = query_results t local (current t) ~settings q in
+          let rs, truncated, json = query_results t local (current t) ~settings q in
           let payload =
             if cluster then
               let cs = Query.cluster rs in
@@ -661,7 +678,7 @@ let dispatch ?local t ~id req =
             else
               [
                 ("count", Proto.Int (List.length rs));
-                ("results", results_json rs);
+                ("results", Proto.Raw json);
                 ("truncated", Proto.Bool truncated);
               ]
           in
@@ -681,11 +698,11 @@ let dispatch ?local t ~id req =
           expected = Jtype.ref_of_string tout;
         }
       in
-      let suggestions = assist_suggestions t local (current t) ~settings ctx in
+      let suggestions, json = assist_suggestions t local (current t) ~settings ctx in
       Proto.ok_response ~id ~op:"assist"
         [
           ("count", Proto.Int (List.length suggestions));
-          ("suggestions", Proto.Arr (List.mapi suggestion_json suggestions));
+          ("suggestions", Proto.Raw json);
         ])
   | Proto.Batch { pairs; max_results; slack; strategy; ranking; protocol } -> (
       match parse_mode ~strategy ~ranking ~protocol with
@@ -706,23 +723,23 @@ let dispatch ?local t ~id req =
           ( "answers",
             Proto.Arr
               (List.map
-                 (fun ((q : Query.t), (rs, truncated)) ->
+                 (fun ((q : Query.t), (rs, truncated, json)) ->
                    Proto.Obj
                      [
                        ("tin", Proto.Str (Jtype.to_string q.Query.tin));
                        ("tout", Proto.Str (Jtype.to_string q.Query.tout));
                        ("count", Proto.Int (List.length rs));
-                       ("results", results_json rs);
+                       ("results", Proto.Raw json);
                        ("truncated", Proto.Bool truncated);
                      ])
                  answers) );
         ])
   | Proto.Lint { tin; tout } ->
       let q = Query.query tin tout in
-      let ds = lint_diagnostics t local (current t) q in
+      let ds, json = lint_diagnostics t local (current t) q in
       Proto.ok_response ~id ~op:"lint"
         [
-          ("diagnostics", Proto.Arr (List.map diagnostic_json ds));
+          ("diagnostics", Proto.Raw json);
           ("errors", Proto.Int (Analysis.Diagnostic.count Analysis.Diagnostic.Error ds));
           ( "warnings",
             Proto.Int (Analysis.Diagnostic.count Analysis.Diagnostic.Warning ds) );
@@ -766,7 +783,7 @@ let dispatch ?local t ~id req =
                       expected = Jtype.ref_of_string tout;
                     }
                   in
-                  assist_suggestions t local snap ~settings ctx
+                  fst (assist_suggestions t local snap ~settings ctx)
                   |> List.map (fun (s : Prospector.Assist.suggestion) ->
                          {
                            Esession.source = s.Prospector.Assist.uses_var;

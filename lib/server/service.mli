@@ -115,7 +115,15 @@ val handle : ?local:local -> t -> Proto.envelope -> Proto.json
     first if the graph moved): lock-free for every read op, memoized in
     [?local] when given. Engine exceptions become [internal] error replies —
     a poisoned query must not take the daemon down. Records one metrics
-    sample per call. *)
+    sample per call.
+
+    Each cached answer is encoded once, on its miss: the reply's payload
+    array — ["results"] of query (without [cluster]) and of every batch
+    answer, ["suggestions"] of assist, ["diagnostics"] of lint — comes back
+    as a {!Proto.Raw} holding those bytes, which {!Proto.to_string} splices
+    verbatim, so a hit does no rendering or escaping. The rendered line is
+    byte-identical to encoding the typed tree. Callers that need the array
+    as a tree parse {!handle_line}'s output. *)
 
 val handle_line : ?local:local -> t -> string -> string
 (** The full wire cycle: parse one request line (parse failures become

@@ -65,6 +65,27 @@ let prop_parse_never_crashes =
     (fun s ->
       match Proto.parse s with Ok _ | Error _ -> true)
 
+(* The run-copying encoder against the per-byte one it replaced
+   (test/proto_oracle.ml): byte for byte on strings drawn from all 256 byte
+   values — as a value and as an object key — and on whole trees; the
+   decoder reads every such string back, and a [Raw] splice of a tree's
+   encoding renders the same bytes as the tree. *)
+let prop_escape_matches_oracle =
+  QCheck2.Test.make ~name:"encoder = per-byte oracle, all 256 bytes" ~count:1000
+    QCheck2.Gen.(
+      pair
+        (string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 64))
+        gen_json)
+    (fun (s, j) ->
+      let tree = Proto.Obj [ (s, Proto.Str s); ("j", j) ] in
+      String.equal (Proto.to_string (Proto.Str s)) (Proto_oracle.to_string (Proto.Str s))
+      && String.equal (Proto.to_string tree) (Proto_oracle.to_string tree)
+      && Proto.parse (Proto.to_string (Proto.Str s)) = Ok (Proto.Str s)
+      (* a spliced encoding reads exactly like the tree it came from *)
+      && String.equal
+           (Proto.to_string (Proto.Obj [ (s, Proto.Raw (Proto.to_string j)) ]))
+           (Proto.to_string (Proto.Obj [ (s, j) ])))
+
 (* ---------- qcheck: request envelope round-trip ---------- *)
 
 let gen_id =
@@ -439,6 +460,239 @@ let test_concurrent_equals_sequential () =
     ((n_threads * n) + 1)
     (Metrics.total_requests (Service.metrics shared))
 
+(* ---------- differential reply oracle: spliced bytes = the typed tree ---------- *)
+
+(* The reply trees as Service built them before cached answers carried
+   their payload bytes: every result, suggestion and diagnostic rendered
+   and escaped per reply. A cached op's reply line — on its miss and on its
+   hit — must be exactly [Proto.to_string] of this tree. *)
+let old_result_json i (r : Query.result) =
+  Proto.Obj
+    [
+      ("rank", Proto.Int (i + 1));
+      ("jungloid", Proto.Str (Prospector.Jungloid.to_string r.Query.jungloid));
+      ("code", Proto.Str r.Query.code);
+    ]
+
+let old_suggestion_json i (s : Prospector.Assist.suggestion) =
+  Proto.Obj
+    [
+      ("rank", Proto.Int (i + 1));
+      ("title", Proto.Str s.Prospector.Assist.title);
+      ("code", Proto.Str s.Prospector.Assist.code);
+      ( "uses_var",
+        match s.Prospector.Assist.uses_var with
+        | Some v -> Proto.Str v
+        | None -> Proto.Null );
+    ]
+
+let old_diagnostic_json (d : Analysis.Diagnostic.t) =
+  let where =
+    match d.Analysis.Diagnostic.where with
+    | Analysis.Diagnostic.Source l ->
+        [
+          ("file", Proto.Str l.Minijava.Tast.file);
+          ("line", Proto.Int l.Minijava.Tast.line);
+          ("col", Proto.Int l.Minijava.Tast.col);
+        ]
+    | Analysis.Diagnostic.Subject s -> [ ("subject", Proto.Str s) ]
+  in
+  Proto.Obj
+    ([
+       ( "severity",
+         Proto.Str (Analysis.Diagnostic.severity_string d.Analysis.Diagnostic.severity) );
+       ("code", Proto.Str d.Analysis.Diagnostic.code);
+     ]
+    @ where
+    @ [ ("message", Proto.Str d.Analysis.Diagnostic.message) ])
+
+(* The expected reply to [req], computed from the engine's current
+   snapshot with the same default settings the service applies. *)
+let expected_reply eng (req : Proto.request) =
+  let settings = Query.default_settings in
+  let frozen = Query.engine_frozen eng and reach = Query.engine_reach eng in
+  let hierarchy = Query.engine_hierarchy eng in
+  let run tin tout = Query.run_info ~settings ?reach ~frozen ~hierarchy (Query.query tin tout) in
+  let ok op fields = Proto.ok_response ~id:Proto.Null ~op fields in
+  match req with
+  | Proto.Query { tin; tout; cluster = false; _ } ->
+      let rs, info = run tin tout in
+      ok "query"
+        [
+          ("count", Proto.Int (List.length rs));
+          ("results", Proto.Arr (List.mapi old_result_json rs));
+          ("truncated", Proto.Bool info.Query.truncated);
+        ]
+  | Proto.Query { tin; tout; cluster = true; _ } ->
+      let rs, info = run tin tout in
+      let cs = Query.cluster rs in
+      ok "query"
+        [
+          ("count", Proto.Int (List.length cs));
+          ( "clusters",
+            Proto.Arr
+              (List.mapi
+                 (fun i (c : Query.cluster) ->
+                   Proto.Obj
+                     [
+                       ("rank", Proto.Int (i + 1));
+                       ("members", Proto.Int c.Query.members);
+                       ("type_path", Proto.Str c.Query.type_path);
+                       ("representative", old_result_json i c.Query.representative);
+                     ])
+                 cs) );
+          ("truncated", Proto.Bool info.Query.truncated);
+        ]
+  | Proto.Batch { pairs; _ } ->
+      ok "batch"
+        [
+          ( "answers",
+            Proto.Arr
+              (List.map
+                 (fun (tin, tout) ->
+                   let q = Query.query tin tout in
+                   let rs, info = run tin tout in
+                   Proto.Obj
+                     [
+                       ("tin", Proto.Str (Javamodel.Jtype.to_string q.Query.tin));
+                       ("tout", Proto.Str (Javamodel.Jtype.to_string q.Query.tout));
+                       ("count", Proto.Int (List.length rs));
+                       ("results", Proto.Arr (List.mapi old_result_json rs));
+                       ("truncated", Proto.Bool info.Query.truncated);
+                     ])
+                 pairs) );
+        ]
+  | Proto.Assist { tout; vars; _ } ->
+      let ctx =
+        {
+          Prospector.Assist.vars =
+            List.map (fun (n, ty) -> (n, Javamodel.Jtype.ref_of_string ty)) vars;
+          expected = Javamodel.Jtype.ref_of_string tout;
+        }
+      in
+      let ss = Prospector.Assist.suggest ~settings ~frozen ?reach ~hierarchy ctx in
+      ok "assist"
+        [
+          ("count", Proto.Int (List.length ss));
+          ("suggestions", Proto.Arr (List.mapi old_suggestion_json ss));
+        ]
+  | Proto.Lint { tin; tout } ->
+      let rs, _ = run tin tout in
+      let ds =
+        List.concat_map
+          (fun (r : Query.result) ->
+            Analysis.Verify.check hierarchy r.Query.jungloid
+            @ Analysis.Gencheck.check hierarchy r.Query.jungloid)
+          rs
+        |> List.sort_uniq Analysis.Diagnostic.compare
+      in
+      ok "lint"
+        [
+          ("diagnostics", Proto.Arr (List.map old_diagnostic_json ds));
+          ("errors", Proto.Int (Analysis.Diagnostic.count Analysis.Diagnostic.Error ds));
+          ("warnings", Proto.Int (Analysis.Diagnostic.count Analysis.Diagnostic.Warning ds));
+        ]
+  | _ -> Alcotest.fail "expected_reply: not a cached op"
+
+let cache_hits svc =
+  let _, j = response_ok (Service.handle_line svc "{\"op\": \"stats\"}") in
+  match field [ "cache"; "hits" ] j with
+  | Some (Proto.Int n) -> n
+  | _ -> Alcotest.fail "stats reply without cache.hits"
+
+(* Send each request twice through one worker cache — a miss, then a hit —
+   and compare both reply lines with the oracle tree's encoding. *)
+let check_miss_and_hit svc local reqs =
+  let hits0 = cache_hits svc in
+  List.iter
+    (fun req ->
+      let line = line_of req in
+      let expected = Proto.to_string (expected_reply (Service.engine svc) req) in
+      let miss = Service.handle_line ~local svc line in
+      let hit = Service.handle_line ~local svc line in
+      Alcotest.(check string) ("miss: " ^ line) expected miss;
+      Alcotest.(check string) ("hit: " ^ line) expected hit)
+    reqs;
+  Alcotest.(check bool) "the second sends were cache hits" true
+    (cache_hits svc - hits0 >= List.length reqs)
+
+let query_req ?(cluster = false) tin tout =
+  Proto.Query
+    {
+      tin;
+      tout;
+      max_results = None;
+      slack = None;
+      strategy = None;
+      ranking = None;
+      protocol = None;
+      cluster;
+    }
+
+let batch_req pairs =
+  Proto.Batch
+    { pairs; max_results = None; slack = None; strategy = None; ranking = None; protocol = None }
+
+let assist_req vars tout =
+  Proto.Assist
+    { tout; vars; max_results = None; slack = None; strategy = None; ranking = None; protocol = None }
+
+let test_reply_oracle_bundled () =
+  let svc = fresh_service () in
+  let local = Service.local svc in
+  let problems = List.filteri (fun i _ -> i < 6) Problems.all in
+  let pair (p : Problems.t) = (p.Problems.tin, p.Problems.tout) in
+  check_miss_and_hit svc local
+    (List.map (fun p -> let tin, tout = pair p in query_req tin tout) problems
+    @ List.map
+        (fun p -> let tin, tout = pair p in query_req ~cluster:true tin tout)
+        problems
+    @ [ batch_req (List.map pair problems) ]
+    @ List.map
+        (fun (s : Apidata.Study.t) -> assist_req s.Apidata.Study.vars s.Apidata.Study.tout)
+        Apidata.Study.all
+    @ List.map (fun p -> let tin, tout = pair p in Proto.Lint { tin; tout }) problems)
+
+let small_api = {|package p;
+class A { A id(); B mk(); }
+class B { }
+|}
+
+let test_reply_oracle_reload () =
+  let hierarchy = Japi.Loader.load_string ~file:"small.japi" small_api in
+  let graph = Prospector.Sig_graph.build hierarchy in
+  let svc = Service.create ~engine:(Query.engine ~graph ~hierarchy ()) () in
+  let local = Service.local svc in
+  let reqs =
+    [
+      query_req "p.A" "p.B";
+      query_req ~cluster:true "p.A" "p.B";
+      batch_req [ ("p.A", "p.B"); ("p.B", "p.A") ];
+      assist_req [ ("a", "p.A") ] "p.B";
+      Proto.Lint { tin = "p.A"; tout = "p.B" };
+    ]
+  in
+  check_miss_and_hit svc local reqs;
+  let before = Service.handle_line ~local svc (line_of (query_req "p.A" "p.B")) in
+  let ok, _ =
+    response_ok
+      (Service.handle_line svc
+         (line_of
+            (Proto.Reload
+               {
+                 japi = Some "package p;\nclass A { A id(); B mk(); B mk2(); }\n";
+                 remove = [];
+                 corpus = None;
+               })))
+  in
+  Alcotest.(check bool) "reload applied" true ok;
+  (* the same requests again: the bytes must describe the new snapshot *)
+  check_miss_and_hit svc local reqs;
+  let after = Service.handle_line ~local svc (line_of (query_req "p.A" "p.B")) in
+  Alcotest.(check bool) "the reloaded method is in the reply" true
+    (Util.contains ~sub:"mk2" after);
+  Alcotest.(check bool) "and was not before" false (Util.contains ~sub:"mk2" before)
+
 (* ---------- metrics ---------- *)
 
 let test_metrics_percentiles () =
@@ -531,6 +785,7 @@ let () =
             prop_envelope_roundtrip;
             prop_envelope_wire_roundtrip;
             prop_contains_matches_naive;
+            prop_escape_matches_oracle;
           ] );
       ( "proto-edges",
         [
@@ -545,6 +800,13 @@ let () =
           Alcotest.test_case "shutdown flag" `Quick test_shutdown_flag;
           Alcotest.test_case "concurrent = sequential" `Quick
             test_concurrent_equals_sequential;
+        ] );
+      ( "reply oracle",
+        [
+          Alcotest.test_case "cached ops, miss and hit, bundled model" `Quick
+            test_reply_oracle_bundled;
+          Alcotest.test_case "cached ops across a reload" `Quick
+            test_reply_oracle_reload;
         ] );
       ( "metrics",
         [ Alcotest.test_case "percentiles" `Quick test_metrics_percentiles ] );

@@ -817,6 +817,71 @@ let prop_charged_priority_grid =
             bools)
         [ 0; 1; 2; 5 ])
 
+(* Query's best-first consumers take a result's key from the candidate
+   ([Topk.cand_key]) instead of recomputing it. Pin that it is exactly
+   [Rank.key] of the emitted jungloid — every numeric component and the tie
+   — over the same grid: single-source and multi-source results, every
+   freevar_cost, both tiebreaks, the estimator, paper and mined ranking. *)
+let prop_cand_key_is_rank_key =
+  QCheck2.Test.make ~name:"emitted key = Rank.key of the jungloid (grid)"
+    ~count:6 world_gen (fun (h, g) ->
+      let edge_cost = synthetic_cost ~seed:5 in
+      let plain = Graph.freeze g and mined = Graph.freeze ~wcost:edge_cost g in
+      let qs = Corpusgen.Workload.random_queries h g ~count:2 ~seed:19 in
+      let bools = [ false; true ] in
+      let same_key (a : Rank.key) (b : Rank.key) =
+        Rank.compare_key a b = 0
+        && a.Rank.weighted = b.Rank.weighted
+        && a.Rank.length = b.Rank.length
+        && a.Rank.crossings = b.Rank.crossings
+        && a.Rank.specificity = b.Rank.specificity
+        && a.Rank.interior = b.Rank.interior
+        && Prospector.Jungloid.equal a.Rank.tie b.Rank.tie
+      in
+      List.for_all
+        (fun freevar_cost ->
+          List.for_all
+            (fun (package_tiebreak, generality_tiebreak, estimate_freevars) ->
+              List.for_all
+                (fun ranking ->
+                  let weights =
+                    { Rank.freevar_cost; package_tiebreak; generality_tiebreak }
+                  in
+                  let settings =
+                    {
+                      Query.default_settings with
+                      strategy = Query.BestFirst;
+                      ranking;
+                      estimate_freevars;
+                      weights;
+                    }
+                  in
+                  let edge_cost, fz =
+                    match ranking with
+                    | Query.Mined -> (Some edge_cost, mined)
+                    | Query.Paper -> (None, plain)
+                  in
+                  let freevar_cost_of = estimator settings fz in
+                  let pinned (r : Query.result) =
+                    same_key r.Query.key
+                      (Rank.key ~weights ?freevar_cost_of ?edge_cost h r.Query.jungloid)
+                  in
+                  List.for_all
+                    (fun (q : Query.t) ->
+                      List.for_all pinned
+                        (Query.run ~settings ?edge_cost ~frozen:fz ~hierarchy:h q)
+                      && List.for_all
+                           (fun (m : Query.multi_result) -> pinned m.Query.result)
+                           (Query.run_multi ~settings ?edge_cost ~frozen:fz ~hierarchy:h
+                              ~vars:[ ("a", q.Query.tin) ] ~tout:q.Query.tout ()))
+                    qs)
+                [ Query.Paper; Query.Mined ])
+            (List.concat_map
+               (fun p ->
+                 List.concat_map (fun gt -> List.map (fun e -> (p, gt, e)) bools) bools)
+               bools))
+        [ 0; 1; 2; 5 ])
+
 let () =
   Alcotest.run "topk"
     [
@@ -863,7 +928,11 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest [ prop_mined_equals_exhaustive ] );
       ( "charged",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_charged_h_consistent; prop_charged_priority_grid ] );
+          [
+            prop_charged_h_consistent;
+            prop_charged_priority_grid;
+            prop_cand_key_is_rank_key;
+          ] );
       ( "protocol",
         [
           Alcotest.test_case "bundled Eclipse graph, Table 1, mined model"
